@@ -112,15 +112,6 @@ class BinLayout:
         gy, gx = np.mgrid[0:GRID_H, 0:GRID_W]
         return (gy // self.patches_per_row) * self.cols + gx // self.patches_per_col
 
-    def pixel_extents(self, bin: int) -> tuple[int, int, int, int]:
-        """(x0, y0, x1, y1) half-open pixel box of a bin at working resolution."""
-        if not 0 <= bin < self.n_bins:
-            raise ValueError(f"bin {bin} outside 0..{self.n_bins - 1}")
-        r, c = divmod(bin, self.cols)
-        bw = WORK_W // self.cols
-        bh = WORK_H // self.rows
-        return c * bw, r * bh, (c + 1) * bw, (r + 1) * bh
-
 
 DEFAULT_LAYOUT = BinLayout(2, 2)
 
@@ -203,18 +194,6 @@ def extract_cubes(
         for gx in range(GRID_W)
         if keep[gy, gx]
     ]
-
-
-def dump_cubes_csv(cubes: Sequence[CubeFeature], path) -> None:
-    """Debug dump: one row per cube, frame_start,grid_x,grid_y,bin,v0..v499."""
-    with open(path, "w") as fh:
-        header = "frame_start,grid_x,grid_y,bin," + ",".join(
-            f"v{i}" for i in range(PATCH * PATCH * STACK)
-        )
-        fh.write(header + "\n")
-        for c in cubes:
-            vals = ",".join(f"{v:.17g}" for v in c.values)
-            fh.write(f"{c.frame_start},{c.grid_x},{c.grid_y},{c.bin},{vals}\n")
 
 
 # ---------------------------------------------------------------------------

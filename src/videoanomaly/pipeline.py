@@ -88,8 +88,8 @@ class DetectorConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.m < 2 or self.m % 2:
             raise ValueError(f"m must be even and >= 2, got {self.m}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not self.lam > 0:
+            raise ValueError(f"lambda must be > 0, got {self.lam}")
         if self.smooth_sigma < 0:
             raise ValueError(f"smooth-sigma must be >= 0, got {self.smooth_sigma}")
         if self.workers < 1:

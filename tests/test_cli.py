@@ -146,6 +146,13 @@ def test_run_invalid_parameter_exit_2(video, tmp_path):
     assert rc == 2
 
 
+def test_run_zero_lambda_exit_2(video, tmp_path, capsys):
+    rc, out = _run(video, tmp_path, "--lambda", "0")
+    assert rc == 2
+    assert "lambda must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- eval
 
 

@@ -58,6 +58,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(lam=-0.5)
     with pytest.raises(ValueError):
+        DetectorConfig(lam=0)
+    with pytest.raises(ValueError):
         DetectorConfig(smooth_sigma=-1)
     with pytest.raises(ValueError):
         DetectorConfig(workers=0)

@@ -11,7 +11,10 @@ from videoanomaly import (
     score,
     train_logistic,
     unmask,
+    unmasking,
 )
+from videoanomaly.features import PATCH, STACK
+from videoanomaly.unmasking import GRAM_MIN_RATIO, UnmaskingProfile, _fit
 
 
 def _separable_batch(n_per_class=10, dim=20, margin=2.0, seed=0):
@@ -28,6 +31,97 @@ def _state(weights, active=None):
     if active is None:
         active = np.arange(w.size)
     return ClassifierState(w, 0.0, np.asarray(active, dtype=np.intp))
+
+
+def _eliminate_by_sort(state, m):
+    """Reference elimination: stable argsorts and set differences."""
+    active = state.active
+    if active.size <= m:
+        return np.empty(0, dtype=np.intp)
+    wa = state.weights[active]
+    half = m // 2
+    # stable argsort on the negated key keeps ties in ascending-index order
+    pos = active[wa > 0]
+    picks_pos = pos[np.argsort(-wa[wa > 0], kind="stable")][:half]
+    neg = active[wa < 0]
+    picks_neg = neg[np.argsort(wa[wa < 0], kind="stable")][:half]
+    removed = np.concatenate([picks_pos, picks_neg])
+    deficit = m - removed.size
+    if deficit:
+        rest_mask = ~np.isin(active, removed, assume_unique=True)
+        rest = active[rest_mask]
+        fill = rest[np.argsort(-np.abs(wa[rest_mask]), kind="stable")][:deficit]
+        removed = np.concatenate([removed, fill])
+    return np.setdiff1d(active, removed, assume_unique=True)
+
+
+def _train_primal(batch, active, lam):
+    """Reference training: the primal solver on the explicit design matrix."""
+    n = batch.x.shape[0]
+    xb = np.empty((n, active.size + 1))
+    xb[:, :-1] = batch.x[:, active]
+    xb[:, -1] = 1.0
+    wb = _fit(xb, batch.y, lam)
+    weights = np.zeros(batch.dim)
+    weights[active] = wb[:-1]
+    accuracy = float(np.mean((xb @ wb > 0.0) == (batch.y == 1)))
+    return ClassifierState(weights, float(wb[-1]), active), accuracy
+
+
+def _unmask_primal(batch, k=10, m=50, lam=0.1):
+    """Reference unmasking loop over the primal solver and sort-based
+    elimination; returns the profile and the active set after each loop."""
+    active = np.arange(batch.dim, dtype=np.intp)
+    accuracies, counts, kept = [], [], []
+    for _ in range(k):
+        counts.append(int(active.size))
+        if active.size == 0:
+            accuracies.append(0.5)
+            continue
+        state, acc = _train_primal(batch, active, lam)
+        accuracies.append(acc)
+        active = _eliminate_by_sort(state, m)
+        kept.append(active)
+    return UnmaskingProfile(accuracies, k, m, counts), kept
+
+
+def _unmask_recorded(monkeypatch, batch, k=10, m=50, lam=0.1):
+    """unmask() with its Gram fits counted and its active sets recorded."""
+    gram_fits, kept = [], []
+    fit_gram, eliminate = unmasking._fit_gram, unmasking.eliminate_features
+
+    def counting_fit_gram(*args):
+        gram_fits.append(args[1].shape)
+        return fit_gram(*args)
+
+    def recording_eliminate(state, m):
+        kept.append(eliminate(state, m))
+        return kept[-1]
+
+    monkeypatch.setattr(unmasking, "_fit_gram", counting_fit_gram)
+    monkeypatch.setattr(unmasking, "eliminate_features", recording_eliminate)
+    return unmask(batch, k=k, m=m, lam=lam), kept, gram_fits
+
+
+def _assert_matches_primal(monkeypatch, batch, k=10, m=50, lam=0.1):
+    prof, kept, gram_fits = _unmask_recorded(monkeypatch, batch, k, m, lam)
+    oracle, oracle_kept = _unmask_primal(batch, k, m, lam)
+    assert np.array_equal(prof.accuracies, oracle.accuracies)
+    assert prof.active_counts == oracle.active_counts
+    assert len(kept) == len(oracle_kept)
+    for got, want in zip(kept, oracle_kept):
+        assert np.array_equal(got, want)
+    return prof, gram_fits
+
+
+def _relu_noise_batch(n, dim, seed, shift=0.0):
+    """L2-normalized rectified noise, the shape of appearance features;
+    ``shift`` adds a rectified offset to the second half."""
+    rng = np.random.default_rng(seed)
+    x = np.maximum(rng.normal(size=(n, dim)), 0.0)
+    x[n // 2:] += shift * np.maximum(rng.normal(size=dim), 0.0)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return WindowBatch(x, np.r_[np.zeros(n // 2), np.ones(n - n // 2)])
 
 
 # ----------------------------------------------------------------- training
@@ -98,6 +192,77 @@ def test_empty_active_set_raises():
         train_logistic(batch, np.empty(0, dtype=np.intp), lam=0.1)
 
 
+def test_nonpositive_lambda_raises():
+    batch = _separable_batch()
+    for lam in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            train_logistic(batch, np.arange(batch.dim), lam=lam)
+        with pytest.raises(ValueError):
+            unmask(batch, lam=lam)
+
+
+# ------------------------------------------------ Gram solver for wide batches
+
+
+@pytest.mark.parametrize("seed,shift", [(0, 0.0), (1, 0.05), (2, 0.3)])
+def test_gram_path_matches_primal_at_appearance_shape(monkeypatch, seed, shift):
+    batch = _relu_noise_batch(20, 12544, seed, shift)
+    _, gram_fits = _assert_matches_primal(monkeypatch, batch)
+    assert len(gram_fits) == 10  # every loop stays wide
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+def test_gram_fit_matches_primal_weights(lam):
+    # the two solvers differ only in rounding (about 1e-15 of max |w|);
+    # stopping one iterate early or late moves the weights far more
+    batch = _relu_noise_batch(20, 12544, seed=3, shift=0.2)
+    active = np.arange(40, 12544)
+    state, acc = train_logistic(batch, active, lam)
+    oracle, oracle_acc = _train_primal(batch, active, lam)
+    assert acc == oracle_acc
+    scale = np.abs(oracle.weights).max()
+    assert np.abs(state.weights - oracle.weights).max() <= 1e-12 * scale
+    assert abs(state.bias - oracle.bias) <= 1e-12 * max(scale, abs(oracle.bias))
+    assert np.all(state.weights[:40] == 0.0)
+
+
+def test_gram_path_matches_primal_on_planted_feature(monkeypatch):
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 0.3, (20, 3000))
+    x[:, :3] += np.r_[np.full(10, -1.0), np.full(10, 1.0)][:, None]
+    batch = WindowBatch(x, np.r_[np.zeros(10), np.ones(10)])
+    prof, gram_fits = _assert_matches_primal(monkeypatch, batch, k=6, m=2)
+    assert len(gram_fits) == 6
+    assert prof.accuracies[0] == 1.0
+
+
+def test_gram_path_twin_halves_sit_at_chance_exactly(monkeypatch):
+    rng = np.random.default_rng(12)
+    half = np.maximum(rng.normal(size=(10, 3200)), 0.0)
+    batch = WindowBatch(np.vstack([half, half]), np.r_[np.zeros(10), np.ones(10)])
+    prof, gram_fits = _assert_matches_primal(monkeypatch, batch)
+    assert len(gram_fits) == 10
+    assert np.array_equal(prof.accuracies, np.full(10, 0.5))
+
+
+@pytest.mark.parametrize("dim,gram_loops", [(128 * 8 - 1, 0), (128 * 8, 1)])
+def test_gram_switch_boundary_matches_primal(monkeypatch, dim, gram_loops):
+    # n = 8: only the first loop of the wider batch takes the Gram path
+    batch = _relu_noise_batch(8, dim, seed=13, shift=0.1)
+    _, gram_fits = _assert_matches_primal(monkeypatch, batch, k=4, m=2)
+    assert len(gram_fits) == gram_loops
+
+
+def test_motion_batches_stay_on_primal_solver(monkeypatch):
+    # the smallest non-degenerate batch (2 examples per class) at the motion
+    # dimension: the shipped motion scores come from the primal solver
+    dim = PATCH * PATCH * STACK
+    assert dim < GRAM_MIN_RATIO * 4
+    batch = _relu_noise_batch(4, dim, seed=14, shift=0.5)
+    _, gram_fits = _assert_matches_primal(monkeypatch, batch, k=3, m=50)
+    assert gram_fits == []
+
+
 def test_batch_shape_validation():
     with pytest.raises(ValueError):
         WindowBatch(np.zeros((4, 3)), np.zeros(5))
@@ -142,6 +307,34 @@ def test_eliminate_respects_active_subset():
 def test_eliminate_exhausted_set_returns_empty():
     remaining = eliminate_features(_state([1.0, -1.0]), m=2)
     assert remaining.size == 0 and remaining.dtype == np.intp
+
+
+def test_eliminate_matches_sort_oracle():
+    """Randomized differential test against the sort-based reference,
+    heavy on ties: integer weights, all-zero weights, one sign only."""
+    rng = np.random.default_rng(20)
+    for case in range(3000):
+        dim = int(rng.integers(1, 80))
+        active = np.flatnonzero(rng.random(dim) < rng.uniform(0.3, 1.0))
+        if active.size == 0:
+            active = np.array([dim - 1])
+        kind = case % 5
+        if kind == 0:
+            w = rng.normal(size=dim)
+        elif kind == 1:
+            w = rng.integers(-3, 4, dim).astype(np.float64)
+        elif kind == 2:
+            w = np.zeros(dim)
+        elif kind == 3:
+            w = rng.integers(0, 3, dim).astype(np.float64)
+        else:
+            w = -rng.integers(0, 3, dim).astype(np.float64)
+        m = 2 * int(rng.integers(1, max(2, active.size // 2 + 2)))
+        state = _state(w, active)
+        got = eliminate_features(state, m)
+        want = _eliminate_by_sort(state, m)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want), (case, w, active, m)
 
 
 def test_eliminate_validates_m():
