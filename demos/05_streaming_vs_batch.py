@@ -2,8 +2,10 @@
 
 A frame's score is final once every window whose second half contains it
 has closed. With w=10, stride=5 that is a 5..19 frame delay. The
-streaming path reuses the exact batch arithmetic, so the finalized
-stream is bit-identical to scoring the whole clip at once.
+emitted fused and per-channel scores and the series finalize() returns
+are bit-identical to scoring the whole clip at once. The emitted smoothed
+value uses the truncated kernel over the finalized prefix, so it firms up
+to the batch value as later frames arrive.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ Errors are reported as a single machine-parsable line on stderr.
 Configuration can come from flags or from a flat key=value file
 (--config); flags override the file, the file overrides defaults, and the
 keys are spelled exactly like the long flags (w, stride, k, m, lambda,
-smooth-sigma, bins, channel, workers).
+smooth-sigma, bins, channel).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ CONFIG_KEYS = {
     "smooth-sigma": (float, "smooth_sigma"),
     "bins": (BinLayout.from_string, "bins"),
     "channel": (str, "channel"),
-    "workers": (int, "workers"),
 }
 
 
@@ -72,10 +71,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", default=None, help="spatial bin grid, e.g. 2x2")
     parser.add_argument("--channel", choices=("motion", "appearance", "fusion"),
                         default=None)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="stage-2 worker threads (1 = fully inline)")
-    parser.add_argument("--single-core", action="store_true",
-                        help="pin everything to one worker")
 
 
 def _read_config_file(path) -> dict:
@@ -109,8 +104,6 @@ def _build_config(args, default_channel: str | None = None) -> DetectorConfig:
         flag_value = getattr(args, attr, None)
         if flag_value is not None:
             values[attr] = parse(flag_value) if isinstance(flag_value, str) else flag_value
-    if getattr(args, "single_core", False):
-        values["workers"] = 1
     if "channel" not in values and default_channel is not None:
         values["channel"] = default_channel
     return DetectorConfig(**values)

@@ -27,7 +27,7 @@ from scipy.ndimage import convolve1d
 from .errors import AlignmentError, CapabilityError, DataError
 from .features import GRID_H, GRID_W, BinLayout
 from .ingest import GroundTruth
-from .pipeline import DetectionResult, _fill_nearest
+from .pipeline import DetectionResult, coverage_mean
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -178,15 +178,14 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> list[Scor
     else:
         raise CapabilityError(f"channel {channel!r} was not part of the run {enabled}")
     t = result.frame_count
-    w = result.config.w
     bin_grids = {
         "motion": result.config.bins.patch_bin_grid(),
         "appearance": BinLayout(2, 2).patch_bin_grid(),
     }
+    starts = [rec.start for rec in result.windows]
     per_channel = []
     for ch in wanted:
-        sums = np.zeros((t, GRID_H, GRID_W))
-        counts = np.zeros(t)
+        rows = []
         for rec in result.windows:
             cell_scores = rec.bin_scores[ch][bin_grids[ch]]
             if ch == "motion":
@@ -195,12 +194,8 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> list[Scor
                         "motion window records lack cube presence; rerun with maps enabled"
                     )
                 cell_scores = cell_scores * rec.presence
-            lo, hi = rec.start + w, min(rec.start + 2 * w, t)
-            sums[lo:hi] += cell_scores
-            counts[lo:hi] += 1
-        covered = counts > 0
-        grids = np.where(covered[:, None, None], sums / np.maximum(counts, 1)[:, None, None], 0.0)
-        flat = _fill_nearest(grids.reshape(t, -1), covered)
+            rows.append(cell_scores.ravel())
+        flat = coverage_mean(starts, rows, result.config.w, 0, t)
         per_channel.append(flat.reshape(t, GRID_H, GRID_W))
     merged = np.mean(per_channel, axis=0)
     return [ScoreMap(f, merged[f]) for f in range(t)]

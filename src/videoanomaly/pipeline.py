@@ -14,20 +14,12 @@ window j, frames below (j+1)*s + w are finalized. The emitted smoothed
 value uses the truncated kernel over the finalized prefix; finalize()
 recomputes the whole series from the per-window records and is
 bit-identical to a batch run over the same input.
-
-Stage 1 (ingest + features) and stage 2 (unmasking + aggregation) are
-separable: with workers > 1 they communicate through a bounded queue of
-per-window bundles and stage 2 fans the (bin x channel) unmasking calls
-out to a thread pool. Results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -61,7 +53,7 @@ CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
 @dataclass
 class DetectorConfig:
     """Detector parameters. Defaults: w=10, s=5, k=10, m=50, lambda=0.1,
-    2x2 bins, smoothing sigma 10 frames, motion channel, one worker."""
+    2x2 bins, smoothing sigma 10 frames, motion channel."""
 
     w: int = 10
     stride: int = 5
@@ -71,7 +63,6 @@ class DetectorConfig:
     bins: BinLayout = field(default_factory=BinLayout)
     smooth_sigma: float = 10.0
     channel: str = "motion"
-    workers: int = 1
 
     def __post_init__(self):
         if self.channel not in CHANNELS:
@@ -92,8 +83,6 @@ class DetectorConfig:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if self.smooth_sigma < 0:
             raise ValueError(f"smooth-sigma must be >= 0, got {self.smooth_sigma}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if "motion" in self.enabled_channels and self.w % STACK:
             raise ValueError(
                 f"w must be a multiple of {STACK} for the motion channel "
@@ -120,7 +109,6 @@ class DetectorConfig:
             "bins": f"{self.bins.rows}x{self.bins.cols}",
             "smooth_sigma": self.smooth_sigma,
             "channel": self.channel,
-            "workers": self.workers,
         }
 
 
@@ -264,59 +252,14 @@ PATCH_DIM = 500
 
 
 @dataclass
-class WindowBundle:
-    """Stage-1 output for one window: its batches plus map provenance."""
-
-    window_id: int
-    start: int
-    batches: list[WindowBatch]
-    presence: np.ndarray | None  # (12,16) bool, any surviving cube (motion)
-
-
-@dataclass
 class WindowRecord:
-    """Stage-2 output for one window."""
+    """Scores, profiles and map provenance of one closed window."""
 
     window_id: int
     start: int
     bin_scores: dict[str, np.ndarray]
     profiles: dict[str, list[UnmaskingProfile]]
-    presence: np.ndarray | None
-
-
-def _build_bundle(window_id: int, config: DetectorConfig, store: FeatureStore) -> WindowBundle:
-    start = window_id * config.stride
-    window = (start, start + 2 * config.w)
-    batches = []
-    presence = None
-    for channel in config.enabled_channels:
-        for b in range(config.n_bins(channel)):
-            batches.append(window_batch(window, b, channel, store))
-    if "motion" in config.enabled_channels:
-        presence = np.zeros((GRID_H, GRID_W), dtype=bool)
-        for slot_start in range(*window, STACK):
-            presence |= store.slot(slot_start)[1]
-    store.evict_below(start + config.stride)
-    return WindowBundle(window_id, start, batches, presence)
-
-
-def _score_bundle(
-    bundle: WindowBundle, config: DetectorConfig, pool: ThreadPoolExecutor | None = None
-) -> WindowRecord:
-    if pool is not None:
-        profiles = list(
-            pool.map(lambda b: unmask(b, config.k, config.m, config.lam), bundle.batches)
-        )
-    else:
-        profiles = [unmask(b, config.k, config.m, config.lam) for b in bundle.batches]
-    bin_scores: dict[str, np.ndarray] = {}
-    by_channel: dict[str, list[UnmaskingProfile]] = {}
-    for batch, profile in zip(bundle.batches, profiles):
-        by_channel.setdefault(batch.channel, []).append(profile)
-        bin_scores.setdefault(
-            batch.channel, np.zeros(config.n_bins(batch.channel))
-        )[batch.bin] = score(profile)
-    return WindowRecord(bundle.window_id, bundle.start, bin_scores, by_channel, bundle.presence)
+    presence: np.ndarray | None  # (12,16) bool, any surviving cube (motion)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +278,32 @@ class ScoreSeries:
     smoothed: np.ndarray
 
 
-def _fill_nearest(values: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Backfill rows of uncovered frames from the nearest covered frame.
+def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
+    """Per-frame values of frames [lo, hi) from per-window value rows.
 
-    Equidistant neighbors resolve to the earlier frame.
+    A window starting at ``start`` covers its second half
+    [start + w, start + 2w). A covered frame takes the mean of the rows of
+    its covering windows, summed in window order; an uncovered frame takes
+    the value of the nearest covered frame in the range, the earlier one
+    on a tie. Returns a (hi - lo, len(row)) array.
     """
-    idx = np.flatnonzero(covered)
+    rows = np.asarray(rows, dtype=np.float64)
+    sums = np.zeros((hi - lo, *rows.shape[1:]))
+    counts = np.zeros(hi - lo)
+    for start, row in zip(starts, rows):
+        a, b = max(start + w, lo) - lo, min(start + 2 * w, hi) - lo
+        if a < b:
+            sums[a:b] += row
+            counts[a:b] += 1
+    idx = np.flatnonzero(counts)
     if idx.size == 0:
         raise ValueError("no frame is covered by any window")
-    frames = np.arange(len(covered))
+    frames = np.arange(hi - lo)
     pos = np.searchsorted(idx, frames)
     left = idx[np.clip(pos - 1, 0, idx.size - 1)]
     right = idx[np.clip(pos, 0, idx.size - 1)]
     pick = np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)
-    return values[pick]
+    return (sums / np.maximum(counts, 1)[:, None])[pick]
 
 
 def smooth(series, sigma: float) -> np.ndarray:
@@ -370,6 +325,19 @@ def smooth(series, sigma: float) -> np.ndarray:
     return np.clip(num / den, 0.0, 1.0)
 
 
+def _frame_scores(records: Sequence[WindowRecord], config: DetectorConfig, lo: int, hi: int):
+    """Per-bin, per-channel and fused scores of frames [lo, hi): the
+    coverage mean per (bin, channel), max over bins, mean over channels."""
+    starts = [rec.start for rec in records]
+    per_bin = {
+        ch: coverage_mean(starts, [rec.bin_scores[ch] for rec in records], config.w, lo, hi)
+        for ch in config.enabled_channels
+    }
+    per_channel = {ch: values.max(axis=1) for ch, values in per_bin.items()}
+    fused = np.mean(list(per_channel.values()), axis=0)
+    return per_bin, per_channel, fused
+
+
 def aggregate(
     records: Sequence[WindowRecord], frame_count: int, config: DetectorConfig
 ) -> ScoreSeries:
@@ -379,27 +347,9 @@ def aggregate(
     the frame, frames with no covering window backfilled from the nearest
     covered frame. Then max over bins, mean over channels, smoothing.
     """
-    channels = config.enabled_channels
-    w = config.w
-    counts = np.zeros(frame_count)
-    sums = {ch: np.zeros((frame_count, config.n_bins(ch))) for ch in channels}
-    for rec in records:
-        lo, hi = rec.start + w, min(rec.start + 2 * w, frame_count)
-        counts[lo:hi] += 1
-        for ch in channels:
-            sums[ch][lo:hi] += rec.bin_scores[ch]
-    covered = counts > 0
-    per_bin = {}
-    per_channel = {}
-    for ch in channels:
-        filled = np.where(covered[:, None], sums[ch] / np.maximum(counts, 1)[:, None], 0.0)
-        filled = _fill_nearest(filled, covered)
-        per_bin[ch] = filled
-        per_channel[ch] = filled.max(axis=1)
-    fused = np.mean([per_channel[ch] for ch in channels], axis=0)
-    return ScoreSeries(
-        frame_count, channels, per_bin, per_channel, fused, smooth(fused, config.smooth_sigma)
-    )
+    per_bin, per_channel, fused = _frame_scores(records, config, 0, frame_count)
+    smoothed = smooth(fused, config.smooth_sigma)
+    return ScoreSeries(frame_count, config.enabled_channels, per_bin, per_channel, fused, smoothed)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +406,8 @@ class StreamingDetector:
         self.predict_seconds = 0.0
         self._next_window = 0
         self._emitted = 0
-        self._counts = np.zeros(0)
-        self._sums = {ch: np.zeros((0, self.config.n_bins(ch))) for ch in self.config.enabled_channels}
+        # fused values of the last 2*radius emitted frames (see _emit_upto)
+        self._recent = np.zeros(0)
         self._finalized = False
 
     def push(
@@ -470,55 +420,72 @@ class StreamingDetector:
         cfg = self.config
         out: list[Emission] = []
         while self._next_window * cfg.stride + 2 * cfg.w <= self.store.frames_seen:
-            j = self._next_window
-            bundle = _build_bundle(j, cfg, self.store)
-            t0 = time.perf_counter()
-            record = _score_bundle(bundle, cfg)
-            self._absorb(record)
-            self.predict_seconds += time.perf_counter() - t0
+            self._close_window(self._next_window)
             self._next_window += 1
-            out.extend(self._emit_upto((j + 1) * cfg.stride + cfg.w))
+            out.extend(self._emit_upto(self._next_window * cfg.stride + cfg.w))
         return out
 
-    def _absorb(self, record: WindowRecord) -> None:
-        self.records.append(record)
-        lo, hi = record.start + self.config.w, record.start + 2 * self.config.w
-        if hi > self._counts.size:
-            grow = max(2 * self._counts.size, hi)
-            self._counts = np.concatenate([self._counts, np.zeros(grow - self._counts.size)])
-            for ch, arr in self._sums.items():
-                pad = np.zeros((grow - arr.shape[0], arr.shape[1]))
-                self._sums[ch] = np.concatenate([arr, pad])
-        self._counts[lo:hi] += 1
-        for ch in self.config.enabled_channels:
-            self._sums[ch][lo:hi] += record.bin_scores[ch]
+    def _close_window(self, window_id: int) -> None:
+        """Score window ``window_id`` on every (channel, bin) and record it."""
+        cfg, store = self.config, self.store
+        start = window_id * cfg.stride
+        window = (start, start + 2 * cfg.w)
+        batches = [
+            window_batch(window, b, ch, store)
+            for ch in cfg.enabled_channels
+            for b in range(cfg.n_bins(ch))
+        ]
+        presence = None
+        if "motion" in cfg.enabled_channels:
+            presence = np.zeros((GRID_H, GRID_W), dtype=bool)
+            for slot_start in range(*window, STACK):
+                presence |= store.slot(slot_start)[1]
+        store.evict_below(start + cfg.stride)
+        t0 = time.perf_counter()
+        profiles: dict[str, list[UnmaskingProfile]] = {}
+        for batch in batches:  # in bin order within each channel
+            profiles.setdefault(batch.channel, []).append(unmask(batch, cfg.k, cfg.m, cfg.lam))
+        bin_scores = {ch: np.array([score(p) for p in ps]) for ch, ps in profiles.items()}
+        self.records.append(WindowRecord(window_id, start, bin_scores, profiles, presence))
+        self.predict_seconds += time.perf_counter() - t0
 
     def _emit_upto(self, horizon: int) -> list[Emission]:
+        """Emit frames [emitted, horizon), all of whose windows have closed.
+
+        Only the windows whose second halves reach the range are read, so
+        the cost does not grow with stream position.
+        """
         horizon = min(horizon, self.store.frames_seen)
         if horizon <= self._emitted:
             return []
         cfg = self.config
-        counts = self._counts[:horizon]
-        covered = counts > 0
-        per_channel = {}
-        for ch in cfg.enabled_channels:
-            filled = np.where(
-                covered[:, None], self._sums[ch][:horizon] / np.maximum(counts, 1)[:, None], 0.0
+        # the range must hold a covered frame to backfill from: at the end
+        # of a stride == w stream the last covered frame is already emitted
+        lo = min(self._emitted, self.records[-1].start + 2 * cfg.w - 1)
+        first = max(0, (lo - 2 * cfg.w) // cfg.stride + 1)  # first window reaching lo
+        _, per_channel, fused = _frame_scores(self.records[first:], cfg, lo, horizon)
+        skip = self._emitted - lo
+        fused = fused[skip:]
+        # smoothing the new frames reads radius earlier values; keeping
+        # 2*radius makes the series at least as long as the kernel (or the
+        # whole prefix), because np.convolve swaps its operands otherwise,
+        # which changes the rounding
+        series = np.concatenate([self._recent, fused])
+        smoothed = smooth(series, cfg.smooth_sigma)[self._recent.size :]
+        keep = 2 * math.ceil(3 * cfg.smooth_sigma)
+        self._recent = series[max(0, series.size - keep) :]
+        motion = per_channel.get("motion")
+        appearance = per_channel.get("appearance")
+        out = [
+            Emission(
+                f,
+                None if motion is None else float(motion[skip + i]),
+                None if appearance is None else float(appearance[skip + i]),
+                float(fused[i]),
+                float(smoothed[i]),
             )
-            per_channel[ch] = _fill_nearest(filled, covered).max(axis=1)
-        fused = np.mean([per_channel[ch] for ch in cfg.enabled_channels], axis=0)
-        smoothed = smooth(fused, cfg.smooth_sigma)
-        out = []
-        for f in range(self._emitted, horizon):
-            out.append(
-                Emission(
-                    f,
-                    float(per_channel["motion"][f]) if "motion" in per_channel else None,
-                    float(per_channel["appearance"][f]) if "appearance" in per_channel else None,
-                    float(fused[f]),
-                    float(smoothed[f]),
-                )
-            )
+            for i, f in enumerate(range(self._emitted, horizon))
+        ]
         self._emitted = horizon
         return out
 
@@ -571,74 +538,19 @@ def run_detector(
     activations: Sequence[ActivationFrame] | None = None,
     config: DetectorConfig | None = None,
 ) -> DetectionResult:
-    """Run the full detector over in-memory inputs.
-
-    Uses the streaming engine inline for workers=1 and the two-stage
-    bounded-queue pipeline for workers>1; both produce identical scores.
-    """
+    """Run the full detector over in-memory inputs by pushing every frame
+    through a StreamingDetector."""
     config = config or DetectorConfig()
     frame_count = _check_inputs(frames, activations, config)
     plan_windows(frame_count, config.w, config.stride)  # validates length early
-    if config.workers == 1:
-        det = StreamingDetector(config)
-        for i in range(frame_count):
-            det.push(
-                frames[i] if frames is not None else None,
-                activations[i] if activations is not None else None,
-            )
-        _, result = det.finalize()
-        return result
-    return _run_threaded(frames, activations, config, frame_count)
-
-
-def _run_threaded(frames, activations, config, frame_count) -> DetectionResult:
-    windows = plan_windows(frame_count, config.w, config.stride)
-    store = FeatureStore(config)
-    bundles: queue.Queue = queue.Queue(maxsize=4)
-
-    def produce():
-        try:
-            next_window = 0
-            for i in range(frame_count):
-                store.add(
-                    frames[i] if frames is not None else None,
-                    activations[i] if activations is not None else None,
-                )
-                while (
-                    next_window < len(windows)
-                    and next_window * config.stride + 2 * config.w <= store.frames_seen
-                ):
-                    bundles.put(_build_bundle(next_window, config, store))
-                    next_window += 1
-            bundles.put(None)
-        except BaseException as exc:  # surfaced on the consumer side
-            bundles.put(exc)
-
-    producer = threading.Thread(target=produce, name="feature-stage", daemon=True)
-    producer.start()
-    records: list[WindowRecord] = []
-    predict_seconds = 0.0
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        while True:
-            item = bundles.get()
-            if item is None:
-                break
-            if isinstance(item, BaseException):
-                raise item
-            t0 = time.perf_counter()
-            records.append(_score_bundle(item, config, pool))
-            predict_seconds += time.perf_counter() - t0
-    producer.join()
-    t0 = time.perf_counter()
-    series = aggregate(records, frame_count, config)
-    predict_seconds += time.perf_counter() - t0
-    return DetectionResult(
-        series,
-        config,
-        frame_count,
-        records,
-        {"extract_seconds": store.extract_seconds, "predict_seconds": predict_seconds},
-    )
+    det = StreamingDetector(config)
+    for i in range(frame_count):
+        det.push(
+            frames[i] if frames is not None else None,
+            activations[i] if activations is not None else None,
+        )
+    _, result = det.finalize()
+    return result
 
 
 # ---------------------------------------------------------------------------

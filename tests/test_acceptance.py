@@ -146,8 +146,7 @@ def test_criterion_6_throughput_floors(criterion_report, tmp_path, capsys):
     path = tmp_path / "bench.y8"
     write_frames_y8(frames, path)
     out = tmp_path / "bench.json"
-    rc = main(["bench", "--frames", str(path), "--repeat", "1", "--workers", "1",
-               "--out", str(out)])
+    rc = main(["bench", "--frames", str(path), "--repeat", "1", "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     doc = json.loads(out.read_text())

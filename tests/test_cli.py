@@ -113,6 +113,23 @@ def test_run_unknown_config_key(video, tmp_path, capsys):
     assert err.startswith("videoanomaly run: error:")
 
 
+@pytest.mark.parametrize("flags", [["--workers", "2"], ["--single-core"]])
+def test_run_removed_worker_flags_exit_2(video, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        _run(video, tmp_path, *flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def test_run_workers_config_key_exit_2(video, tmp_path, capsys):
+    cfg = tmp_path / "detector.cfg"
+    cfg.write_text("workers = 1\n")
+    rc, out = _run(video, tmp_path, "--config", str(cfg))
+    assert rc == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_inputs_exit_2(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "s.csv")])
     assert rc == 2

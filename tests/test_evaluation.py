@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from videoanomaly import (
+    BinLayout,
     CapabilityError,
     DataError,
     DetectionResult,
@@ -208,6 +209,52 @@ def test_cube_score_map_fused_is_channel_mean():
     fused = cube_score_map(result, "fused")
     for f, m, a in zip(fused, motion, appearance):
         assert np.allclose(f.grid, (m.grid + a.grid) / 2, atol=1e-15)
+
+
+def _cube_score_map_by_loop(result, channel):
+    """Oracle for cube_score_map: per-frame sums and counts over every
+    window's second half, then nearest-covered backfill, then the mean
+    over the wanted channels."""
+    t, w = result.frame_count, result.config.w
+    wanted = result.series.channels if channel == "fused" else (channel,)
+    bin_grids = {
+        "motion": result.config.bins.patch_bin_grid(),
+        "appearance": BinLayout(2, 2).patch_bin_grid(),
+    }
+    per_channel = []
+    for ch in wanted:
+        sums = np.zeros((t, 12, 16))
+        counts = np.zeros(t)
+        for rec in result.windows:
+            cell_scores = rec.bin_scores[ch][bin_grids[ch]]
+            if ch == "motion":
+                cell_scores = cell_scores * rec.presence
+            lo, hi = rec.start + w, min(rec.start + 2 * w, t)
+            sums[lo:hi] += cell_scores
+            counts[lo:hi] += 1
+        covered = np.flatnonzero(counts)
+        grids = np.where(counts[:, None, None] > 0, sums / np.maximum(counts, 1)[:, None, None], 0)
+        for f in range(t):
+            if counts[f] == 0:
+                nearest = covered[np.argmin(np.abs(covered - f))]  # earlier on a tie
+                grids[f] = grids[nearest]
+        per_channel.append(grids)
+    return np.mean(per_channel, axis=0)
+
+
+def test_cube_score_map_matches_loop_oracle():
+    frames, _, _ = synth.block_event_video(frame_count=64, active_range=(30, 50), speed=2.0)
+    noise = synth.noise_activations(64, seed=3)
+    twin = synth.repeating_activations(64, seed=4)
+    acts = [n if (n.index // 11) % 2 else r for n, r in zip(noise, twin)]
+    config = DetectorConfig(channel="fusion", stride=3, k=2)
+    result = run_detector(frames=frames, activations=acts, config=config)
+    assert (64 - 20) % 3  # a tail after the last window is backfilled
+    for channel in ("motion", "appearance", "fused"):
+        grids = np.stack([m.grid for m in cube_score_map(result, channel)])
+        expected = _cube_score_map_by_loop(result, channel)
+        assert np.array_equal(grids, expected), channel
+        assert len(np.unique(grids)) > 5  # scores vary across cells and frames
 
 
 def test_cube_score_map_errors():

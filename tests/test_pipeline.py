@@ -8,6 +8,7 @@ from videoanomaly import (
     BinLayout,
     CapabilityError,
     DetectorConfig,
+    Emission,
     FeatureStore,
     FormatError,
     StreamingDetector,
@@ -61,8 +62,6 @@ def test_config_validation():
         DetectorConfig(lam=0)
     with pytest.raises(ValueError):
         DetectorConfig(smooth_sigma=-1)
-    with pytest.raises(ValueError):
-        DetectorConfig(workers=0)
     with pytest.raises(ValueError):
         DetectorConfig(channel="audio")
 
@@ -258,12 +257,18 @@ def test_fusion_is_mean_of_channels():
     assert np.allclose(series.fused, expected, atol=1e-15)
 
 
-def test_worker_count_does_not_change_scores():
+def test_runs_are_deterministic():
     frames, _, _ = synth.block_event_video(frame_count=80, active_range=(40, 60))
-    base = run_detector(frames=frames, config=DetectorConfig(workers=1))
-    threaded = run_detector(frames=frames, config=DetectorConfig(workers=3))
-    assert np.array_equal(base.series.fused, threaded.series.fused)
-    assert np.array_equal(base.series.smoothed, threaded.series.smoothed)
+    first = run_detector(frames=frames).series
+    second = run_detector(frames=frames).series
+    det = StreamingDetector()
+    for f in frames:
+        det.push(f)
+    streamed = det.finalize()[1].series
+    for other in (second, streamed):
+        assert np.array_equal(other.per_bin["motion"], first.per_bin["motion"])
+        assert np.array_equal(other.fused, first.fused)
+        assert np.array_equal(other.smoothed, first.smoothed)
 
 
 # ------------------------------------------------------------------ streaming
@@ -291,6 +296,89 @@ def test_streaming_matches_batch_bit_for_bit():
     assert np.array_equal([em.fused for em in emissions], batch.series.fused)
     assert np.array_equal(result.series.fused, batch.series.fused)
     assert np.array_equal(result.series.smoothed, batch.series.smoothed)
+
+
+def _fill_nearest(values, covered):
+    """Rows of uncovered frames from the nearest covered frame, earlier on a tie."""
+    idx = np.flatnonzero(covered)
+    frames = np.arange(len(covered))
+    pos = np.searchsorted(idx, frames)
+    left = idx[np.clip(pos - 1, 0, idx.size - 1)]
+    right = idx[np.clip(pos, 0, idx.size - 1)]
+    return values[np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)]
+
+
+def _emit_by_prefix(records, config, emitted, horizon):
+    """Oracle for streaming emission: recompute the whole finalized prefix
+    [0, horizon) from every closed window, smooth all of it, and emit the
+    frames from ``emitted`` on."""
+    channels = config.enabled_channels
+    counts = np.zeros(horizon)
+    sums = {ch: np.zeros((horizon, config.n_bins(ch))) for ch in channels}
+    for rec in records:
+        lo, hi = rec.start + config.w, min(rec.start + 2 * config.w, horizon)
+        counts[lo:hi] += 1
+        for ch in channels:
+            sums[ch][lo:hi] += rec.bin_scores[ch]
+    covered = counts > 0
+    per_channel = {}
+    for ch in channels:
+        filled = np.where(covered[:, None], sums[ch] / np.maximum(counts, 1)[:, None], 0.0)
+        per_channel[ch] = _fill_nearest(filled, covered).max(axis=1)
+    fused = np.mean([per_channel[ch] for ch in channels], axis=0)
+    smoothed = smooth(fused, config.smooth_sigma)
+    return [
+        Emission(
+            f,
+            float(per_channel["motion"][f]) if "motion" in per_channel else None,
+            float(per_channel["appearance"][f]) if "appearance" in per_channel else None,
+            float(fused[f]),
+            float(smoothed[f]),
+        )
+        for f in range(emitted, horizon)
+    ]
+
+
+def _bits(emissions):
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in vars(e).values())
+        for e in emissions
+    ]
+
+
+def _mixed_activations(frame_count):
+    """Noise activations alternating with a repeated segment, so appearance
+    scores vary between separable and chance windows."""
+    noise = synth.noise_activations(frame_count, seed=11)
+    twin = synth.repeating_activations(frame_count, seed=12)
+    return [n if (n.index // 13) % 2 else t for n, t in zip(noise, twin)]
+
+
+# (w, stride, frame count); every count leaves a tail after the last
+# window, and with stride == w that tail follows an already-emitted frame
+EMISSION_GRID = [(10, 5, 98), (10, 10, 97), (10, 3, 97), (5, 5, 99)]
+
+
+@pytest.mark.parametrize("channel", ["motion", "appearance", "fusion"])
+@pytest.mark.parametrize("w,stride,frame_count", EMISSION_GRID)
+def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count):
+    frames, _, _ = synth.block_event_video(
+        frame_count=frame_count, active_range=(40, 70), speed=2.0
+    )
+    acts = _mixed_activations(frame_count)
+    for sigma in (0.0, 3.0, 10.0):
+        config = DetectorConfig(w=w, stride=stride, k=2, smooth_sigma=sigma, channel=channel)
+        det = StreamingDetector(config)
+        emitted = 0
+        for f, a in zip(frames, acts):
+            out = det.push(f, a)
+            if out:
+                horizon = out[-1].frame + 1
+                assert _bits(out) == _bits(_emit_by_prefix(det.records, config, emitted, horizon))
+                emitted = horizon
+        tail, _ = det.finalize()
+        assert tail and emitted + len(tail) == frame_count
+        assert _bits(tail) == _bits(_emit_by_prefix(det.records, config, emitted, frame_count))
 
 
 def test_streaming_emission_is_prompt():
