@@ -12,26 +12,25 @@ flattened channel-first to a 12544-vector and L2-normalized.
 
 import numpy as np
 
-from videoanomaly import Frame, bin_activations, extract_cubes, gradient_feature
+from videoanomaly import BinLayout, bin_activations, cube_grid, gradient_feature
 from videoanomaly.ingest import ActivationFrame
 
 rng = np.random.default_rng(0)
 
 print("== motion cubes ==")
-frames = [Frame(i, 160, 120, rng.random((120, 160))) for i in range(5)]
-cubes = extract_cubes(frames)
-print(f"dense noise: {len(cubes)} cubes (16x12 grid, all cells moving)")
-per_bin = np.bincount([c.bin for c in cubes], minlength=4)
+stack = rng.random((5, 120, 160))  # five 160x120 frames
+vectors, keep = cube_grid(stack)
+print(f"dense noise: {int(keep.sum())} cubes (16x12 grid, all cells moving)")
+bins = BinLayout().patch_bin_grid()  # (12, 16) bin id per cell
+per_bin = np.bincount(bins[keep], minlength=4)
 print(f"per 2x2 bin: {per_bin.tolist()} (each bin spans 8x6 cells)")
-norms = [np.linalg.norm(c.values) for c in cubes]
-print(f"descriptor norms: min {min(norms):.12f}, max {max(norms):.12f}")
+norms = np.linalg.norm(vectors[keep], axis=1)
+print(f"descriptor norms: min {norms.min():.12f}, max {norms.max():.12f}")
 
 # freeze one cell over time; spatial texture alone is not motion
-for f in frames[1:]:
-    f.pixels[30:40, 50:60] = frames[0].pixels[30:40, 50:60]
-cubes = extract_cubes(frames)
-gone = {(c.grid_x, c.grid_y) for c in cubes}
-print(f"after freezing cell (5, 3): {len(cubes)} cubes, cell present: {(5, 3) in gone}")
+stack[1:, 30:40, 50:60] = stack[0, 30:40, 50:60]
+_, keep = cube_grid(stack)
+print(f"after freezing cell (5, 3): {int(keep.sum())} cubes, cell present: {bool(keep[3, 5])}")
 
 # the descriptor of an affine ramp is constant: gradient (a, b, c) everywhere
 y, x, t = np.meshgrid(np.arange(10.0), np.arange(10.0), np.arange(5.0), indexing="ij")
@@ -43,12 +42,12 @@ print()
 print("== appearance windows ==")
 values = np.zeros((256, 13, 13), dtype=np.float32)
 values[0, 6, 6] = 1.0  # the shared center position
-feats = bin_activations(ActivationFrame(0, 256, 13, 13, values))
-for f in feats:
-    pos = int(np.flatnonzero(f.values)[0])
-    print(f"bin {f.bin}: center activation lands at flat position {pos:>2} "
+feats = bin_activations(ActivationFrame(0, 256, 13, 13, values))  # (4, 12544)
+for b, row in enumerate(feats):
+    pos = int(np.flatnonzero(row)[0])
+    print(f"bin {b}: center activation lands at flat position {pos:>2} "
           f"(= ch*49 + r*7 + c)")
 
 values = rng.random((256, 13, 13)).astype(np.float32)
 feats = bin_activations(ActivationFrame(1, 256, 13, 13, values))
-print("random tensor norms:", [f"{np.linalg.norm(f.values):.9f}" for f in feats])
+print("random tensor norms:", [f"{np.linalg.norm(row):.9f}" for row in feats])

@@ -14,7 +14,7 @@ from videoanomaly import synth
 
 frames, labels, masks = synth.block_event_video()
 result = run_detector(frames=frames)
-maps = cube_score_map(result, channel="fused")
+maps = cube_score_map(result, channel="fused")  # (T, 12, 16)
 
 print(f"frame-level AUC: {frame_auc(result.series.smoothed, labels).auc:.4f}")
 report = pixel_auc(maps, GroundTruth(labels, masks))
@@ -22,7 +22,7 @@ print(f"pixel-level AUC: {report.auc:.4f} (40% coverage rule)")
 print()
 
 frame = 150  # mid-event
-grid = maps[frame].grid
+grid = maps[frame]
 mask_cells = masks[frame].reshape(12, 10, 16, 10).any(axis=(1, 3))
 print(f"score grid at frame {frame} (#: hot cell, boxed: ground-truth region):")
 lo, hi = grid.min(), grid.max()

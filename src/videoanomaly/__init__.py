@@ -22,21 +22,18 @@ from .errors import (
 )
 from .evaluation import (
     RocReport,
-    ScoreMap,
     cube_score_map,
     frame_auc,
+    grid_to_pixels,
     load_maps_npz,
     pixel_auc,
     smooth_map,
     write_maps_npz,
 )
 from .features import (
-    AppearanceFeature,
     BinLayout,
-    CubeFeature,
     bin_activations,
-    bin_of_patch,
-    extract_cubes,
+    cube_grid,
     gradient_feature,
 )
 from .ingest import (
@@ -63,8 +60,6 @@ from .pipeline import (
     StreamingDetector,
     WindowRecord,
     aggregate,
-    dump_bins_json,
-    dump_profiles_csv,
     plan_windows,
     read_scores_csv,
     run_detector,
@@ -87,11 +82,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationFrame",
     "AlignmentError",
-    "AppearanceFeature",
     "BinLayout",
     "CapabilityError",
     "ClassifierState",
-    "CubeFeature",
     "DataError",
     "DegenerateBatchError",
     "DetectionResult",
@@ -103,7 +96,6 @@ __all__ = [
     "GroundTruth",
     "OrderingError",
     "RocReport",
-    "ScoreMap",
     "ScoreSeries",
     "StreamTooShortError",
     "StreamingDetector",
@@ -114,14 +106,12 @@ __all__ = [
     "WindowRecord",
     "aggregate",
     "bin_activations",
-    "bin_of_patch",
+    "cube_grid",
     "cube_score_map",
-    "dump_bins_json",
-    "dump_profiles_csv",
     "eliminate_features",
-    "extract_cubes",
     "frame_auc",
     "gradient_feature",
+    "grid_to_pixels",
     "load_activations",
     "load_frames",
     "load_ground_truth",

@@ -5,11 +5,13 @@ ROC is swept over every distinct score (equal scores form one vertex) and
 the AUC is the trapezoidal area, which equals the Mann-Whitney statistic
 with ties counted 1/2.
 
-Pixel level: detection maps at the 16x12 cube-grid resolution are
-upsampled (nearest-neighbor over patch extents) to mask resolution and
-spatially smoothed. At a threshold t, a positive frame is a true positive
-only if the detected pixels (map >= t) cover strictly more than 40% of
-its ground-truth anomalous pixels; a negative frame is a false positive
+Pixel level: a detection map is a (12, 16) grid at the cube-grid
+resolution, one per frame; cube_score_map and load_maps_npz return a
+run's maps as one (T, 12, 16) array. Each grid is upsampled
+(nearest-neighbor over patch extents) to mask resolution and spatially
+smoothed. At a threshold t, a positive frame is a true positive only if
+the detected pixels (map >= t) cover strictly more than 40% of its
+ground-truth anomalous pixels; a negative frame is a false positive
 as soon as any pixel is detected (configurable via negative_min_pixels).
 Each frame's detection status flips at exactly one critical threshold, so
 the sweep reduces to a ROC over per-frame critical scores.
@@ -20,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
 from .errors import AlignmentError, CapabilityError, DataError
-from .features import GRID_H, GRID_W, BinLayout
+from .features import APP_LAYOUT, GRID_H, GRID_W
 from .ingest import GroundTruth
 from .pipeline import DetectionResult, coverage_mean
 
@@ -104,23 +107,16 @@ def frame_auc(scores, labels) -> RocReport:
 # Pixel level
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScoreMap:
-    """Spatial detection scores of one frame at cube-grid resolution."""
+def grid_to_pixels(grid: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Nearest-neighbor upsampling of a (12, 16) grid over patch extents.
 
-    frame: int
-    grid: np.ndarray  # (12, 16)
-
-    def to_pixels(self, height: int, width: int) -> np.ndarray:
-        """Nearest-neighbor upsampling over patch extents.
-
-        Grid cell (gy, gx) covers pixels [gx*W/16, (gx+1)*W/16) x
-        [gy*H/12, (gy+1)*H/12): at the 160x120 working size that is the
-        exact 10x10 patch box.
-        """
-        ys = (np.arange(height) * GRID_H) // height
-        xs = (np.arange(width) * GRID_W) // width
-        return self.grid[np.ix_(ys, xs)]
+    Grid cell (gy, gx) covers pixels [gx*W/16, (gx+1)*W/16) x
+    [gy*H/12, (gy+1)*H/12): at the 160x120 working size that is the exact
+    10x10 patch box.
+    """
+    ys = (np.arange(height) * GRID_H) // height
+    xs = (np.arange(width) * GRID_W) // width
+    return np.asarray(grid)[np.ix_(ys, xs)]
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
@@ -156,8 +152,8 @@ def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
     return num / den
 
 
-def cube_score_map(result: DetectionResult, channel: str = "fused") -> list[ScoreMap]:
-    """Per-frame spatial score grids from a detection run.
+def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarray:
+    """(T, 12, 16) per-frame spatial score grids from a detection run.
 
     Window scores land on the grid cells of their bin: for the motion
     channel only on cells with at least one surviving (non-static) cube in
@@ -180,7 +176,7 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> list[Scor
     t = result.frame_count
     bin_grids = {
         "motion": result.config.bins.patch_bin_grid(),
-        "appearance": BinLayout(2, 2).patch_bin_grid(),
+        "appearance": APP_LAYOUT.patch_bin_grid(),
     }
     starts = [rec.start for rec in result.windows]
     per_channel = []
@@ -197,8 +193,7 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> list[Scor
             rows.append(cell_scores.ravel())
         flat = coverage_mean(starts, rows, result.config.w, 0, t)
         per_channel.append(flat.reshape(t, GRID_H, GRID_W))
-    merged = np.mean(per_channel, axis=0)
-    return [ScoreMap(f, merged[f]) for f in range(t)]
+    return np.mean(per_channel, axis=0)
 
 
 def _critical_score(pixels: np.ndarray, mask: np.ndarray | None, negative_min_pixels: int) -> float:
@@ -220,12 +215,16 @@ def _critical_score(pixels: np.ndarray, mask: np.ndarray | None, negative_min_pi
 
 
 def pixel_auc(
-    maps: list[ScoreMap],
+    maps: Sequence[np.ndarray],
     gt: GroundTruth,
     sigma_px: float = 10.0,
     negative_min_pixels: int = 1,
 ) -> RocReport:
-    """Pixel-level ROC report under the 40%-overlap detection rule."""
+    """Pixel-level ROC report under the 40%-overlap detection rule.
+
+    ``maps`` holds one (12, 16) grid per frame: a (T, 12, 16) array or
+    any length-T sequence of grids.
+    """
     if gt.pixel_masks is None:
         raise CapabilityError("pixel-level evaluation needs per-pixel ground-truth masks")
     if negative_min_pixels < 1:
@@ -235,9 +234,9 @@ def pixel_auc(
             f"{len(maps)} score maps but {len(gt.pixel_masks)} ground-truth masks"
         )
     criticals = np.empty(len(maps))
-    for i, (smap, mask) in enumerate(zip(maps, gt.pixel_masks)):
+    for i, (grid, mask) in enumerate(zip(maps, gt.pixel_masks)):
         h, wd = mask.shape
-        pixels = smooth_map(smap.to_pixels(h, wd), sigma_px)
+        pixels = smooth_map(grid_to_pixels(grid, h, wd), sigma_px)
         label = gt.frame_labels[i] == 1
         criticals[i] = _critical_score(pixels, mask if label else None, negative_min_pixels)
     return _roc(criticals, gt.frame_labels, "pixel")
@@ -248,17 +247,18 @@ def pixel_auc(
 # ---------------------------------------------------------------------------
 
 def write_maps_npz(result: DetectionResult, path) -> None:
-    """Save per-frame score grids, one (T,12,16) array per channel + 'fused'."""
-    arrays = {
-        ch: np.stack([m.grid for m in cube_score_map(result, ch)])
-        for ch in result.series.channels
-    }
-    arrays["fused"] = np.stack([m.grid for m in cube_score_map(result, "fused")])
+    """Save per-frame score grids, one (T,12,16) array per channel + 'fused'.
+
+    'fused' is the mean of the channel maps, the same arithmetic as
+    cube_score_map(result, "fused"), so each map is computed once.
+    """
+    arrays = {ch: cube_score_map(result, ch) for ch in result.series.channels}
+    arrays["fused"] = np.mean(list(arrays.values()), axis=0)
     np.savez_compressed(path, **arrays)
 
 
-def load_maps_npz(path, channel: str = "fused") -> list[ScoreMap]:
-    """Load one channel's score grids back as ScoreMaps."""
+def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
+    """Load one channel's (T, 12, 16) score grids."""
     with np.load(path) as data:
         if channel not in data:
             raise CapabilityError(
@@ -267,4 +267,4 @@ def load_maps_npz(path, channel: str = "fused") -> list[ScoreMap]:
         grids = data[channel]
     if grids.ndim != 3 or grids.shape[1:] != (GRID_H, GRID_W):
         raise DataError(f"{path}: maps must be (frames, {GRID_H}, {GRID_W})")
-    return [ScoreMap(f, grids[f]) for f in range(grids.shape[0])]
+    return grids

@@ -1,25 +1,30 @@
 """Motion and appearance descriptors over a fixed spatial grid.
 
+Layers pass plain arrays, one row per example, and this module owns their
+layout.
+
 Motion: frames at the 160x120 working resolution are partitioned into
 non-overlapping 10x10 patches (a 16x12 grid). Five consecutive frames
 stacked at one grid cell form a 10x10x5 spatio-temporal cube, summarized
-by per-voxel 3D gradient magnitudes (500 values). Cubes with negligible
-temporal change are dropped as static; survivors are L2-normalized and
-assigned to a spatial bin (2x2 quadrants by default).
+by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). cube_grid
+describes all 192 cells of one stack at once: a (12, 16, 500) array of
+L2-normalized descriptors and a (12, 16) mask of the non-static cells.
+A BinLayout (2x2 quadrants by default) maps each cell to a spatial bin.
 
 Appearance: a 256x13x13 activation tensor per frame is cut into four 7x7
 windows that share the center row/column, each flattened channel-major to
-a 12544-dim vector and L2-normalized (an all-zero vector stays zero).
+an APP_DIM = 12544 vector and L2-normalized (an all-zero vector stays
+zero). bin_activations returns the four vectors as the rows of one array;
+APP_LAYOUT is the 2x2 layout their bins cover on the patch grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ingest import ActivationFrame, Frame
+from .ingest import ActivationFrame
 
 WORK_W = 160
 WORK_H = 120
@@ -27,6 +32,7 @@ PATCH = 10
 STACK = 5
 GRID_W = WORK_W // PATCH  # 16
 GRID_H = WORK_H // PATCH  # 12
+CUBE_DIM = PATCH * PATCH * STACK  # 500
 
 # A cube is static iff max |temporal gradient| over its voxels < this.
 STATIC_EPS = 1e-4
@@ -35,26 +41,6 @@ ACT_CHANNELS = 256
 ACT_SIZE = 13
 APP_WINDOW = (ACT_SIZE + 1) // 2  # 7, center row/col shared by adjacent bins
 APP_DIM = APP_WINDOW * APP_WINDOW * ACT_CHANNELS  # 12544
-
-
-@dataclass
-class CubeFeature:
-    """L2-normalized 500-dim gradient descriptor of one 10x10x5 cube."""
-
-    frame_start: int
-    grid_x: int
-    grid_y: int
-    bin: int
-    values: np.ndarray
-
-
-@dataclass
-class AppearanceFeature:
-    """Per-bin 12544-dim appearance vector for one frame."""
-
-    frame: int
-    bin: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,27 +84,10 @@ class BinLayout:
     def patches_per_col(self) -> int:
         return GRID_W // self.cols
 
-    def bin_of_patch(self, grid_x: int, grid_y: int) -> int:
-        if not (0 <= grid_x < GRID_W and 0 <= grid_y < GRID_H):
-            raise ValueError(
-                f"patch ({grid_x},{grid_y}) outside the {GRID_W}x{GRID_H} grid"
-            )
-        return (grid_y // self.patches_per_row) * self.cols + (
-            grid_x // self.patches_per_col
-        )
-
     def patch_bin_grid(self) -> np.ndarray:
         """(12,16) array mapping each patch cell to its bin id."""
         gy, gx = np.mgrid[0:GRID_H, 0:GRID_W]
         return (gy // self.patches_per_row) * self.cols + gx // self.patches_per_col
-
-
-DEFAULT_LAYOUT = BinLayout(2, 2)
-
-
-def bin_of_patch(grid_x: int, grid_y: int, layout: BinLayout = DEFAULT_LAYOUT) -> int:
-    """Bin id of a patch-grid cell (default 2x2 quadrants)."""
-    return layout.bin_of_patch(grid_x, grid_y)
 
 
 # ---------------------------------------------------------------------------
@@ -150,71 +119,47 @@ def gradient_feature(voxels: np.ndarray) -> np.ndarray:
     return mag.ravel()
 
 
-def _cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All 16x12 cube descriptors of one 5-frame stack at once.
 
     ``stack`` is (5, 120, 160). Returns (vectors, keep) where vectors is
-    (12, 16, 500) with surviving cells L2-normalized, and keep is a
-    (12, 16) bool mask of non-static cells. Bit-identical per cell to
-    gradient_feature on the corresponding block.
+    (12, 16, 500) with each nonzero cell L2-normalized, and keep is a
+    (12, 16) bool mask of non-static cells. Per cell, the magnitudes are
+    bit-identical to gradient_feature on the corresponding block, and the
+    norm is taken row-wise (``np.linalg.norm(f[None], axis=-1)``).
     """
+    if np.shape(stack) != (STACK, WORK_H, WORK_W):
+        raise ValueError(
+            f"expected a ({STACK}, {WORK_H}, {WORK_W}) frame stack, got {np.shape(stack)}"
+        )
     blocks = stack.reshape(STACK, GRID_H, PATCH, GRID_W, PATCH).transpose(1, 3, 0, 2, 4)
     mag, gt = _gradient_magnitude(blocks)
     keep = np.abs(gt).max(axis=(2, 3, 4)) >= STATIC_EPS
-    vectors = mag.reshape(GRID_H, GRID_W, PATCH * PATCH * STACK)
+    vectors = mag.reshape(GRID_H, GRID_W, CUBE_DIM)
     norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
     np.divide(vectors, norms, out=vectors, where=norms > 0)
     return vectors, keep
-
-
-def extract_cubes(
-    frames: Sequence[Frame], layout: BinLayout = DEFAULT_LAYOUT
-) -> list[CubeFeature]:
-    """Non-static, L2-normalized cubes of 5 consecutive 160x120 frames.
-
-    Cubes are returned row-major by (grid_y, grid_x); between 0 and 48 per
-    bin, 0 to 192 total for the 2x2 layout.
-    """
-    if len(frames) != STACK:
-        raise ValueError(f"expected {STACK} frames, got {len(frames)}")
-    for a, b in zip(frames, frames[1:]):
-        if b.index != a.index + 1:
-            raise ValueError(f"frames not consecutive: {a.index} then {b.index}")
-    for f in frames:
-        if (f.width, f.height) != (WORK_W, WORK_H):
-            raise ValueError(
-                f"frame {f.index} is {f.width}x{f.height}, needs {WORK_W}x{WORK_H}"
-            )
-    stack = np.stack([f.pixels for f in frames])
-    vectors, keep = _cube_grid(stack)
-    start = frames[0].index
-    return [
-        CubeFeature(start, gx, gy, layout.bin_of_patch(gx, gy), vectors[gy, gx])
-        for gy in range(GRID_H)
-        for gx in range(GRID_W)
-        if keep[gy, gx]
-    ]
 
 
 # ---------------------------------------------------------------------------
 # Appearance bins
 # ---------------------------------------------------------------------------
 
-_APP_WINDOWS = (
-    (0, 0),
-    (0, ACT_SIZE - APP_WINDOW),
-    (ACT_SIZE - APP_WINDOW, 0),
-    (ACT_SIZE - APP_WINDOW, ACT_SIZE - APP_WINDOW),
-)  # top-left corners (row, col) of the four 7x7 windows; row/col 6 shared
+_APP_OFFSETS = (0, ACT_SIZE - APP_WINDOW)  # row/col 6 shared by both windows
+# top-left corners (row, col) of the 7x7 windows, in bin order
+_APP_WINDOWS = tuple((r0, c0) for r0 in _APP_OFFSETS for c0 in _APP_OFFSETS)
+# the appearance bins on the patch grid: 0 = top-left ... 3 = bottom-right
+APP_LAYOUT = BinLayout(len(_APP_OFFSETS), len(_APP_OFFSETS))
 
 
-def bin_activations(act: ActivationFrame) -> list[AppearanceFeature]:
-    """Four per-bin 12544-dim vectors from one 256x13x13 activation tensor.
+def bin_activations(act: ActivationFrame) -> np.ndarray:
+    """(4, 12544) per-bin vectors from one 256x13x13 activation tensor.
 
-    Per bin, each channel's 7x7 window is flattened row-major to 49 values
-    and the 256 channel blocks are concatenated in channel order (position
-    of unit (ch, r, c) in bin b = ch*49 + (r-r0)*7 + (c-c0)). Vectors are
-    L2-normalized; an all-zero vector is passed through unchanged.
+    Row b is bin b of APP_LAYOUT. Per bin, each channel's 7x7 window is
+    flattened row-major to 49 values and the 256 channel blocks are
+    concatenated in channel order (position of unit (ch, r, c) in bin b =
+    ch*49 + (r-r0)*7 + (c-c0)). Rows are L2-normalized; an all-zero row is
+    passed through unchanged.
     """
     if (act.channels, act.height, act.width) != (ACT_CHANNELS, ACT_SIZE, ACT_SIZE):
         raise ValueError(
@@ -222,11 +167,9 @@ def bin_activations(act: ActivationFrame) -> list[AppearanceFeature]:
             f"needs {ACT_CHANNELS}x{ACT_SIZE}x{ACT_SIZE}"
         )
     values = np.asarray(act.values, dtype=np.float64)
-    out = []
+    out = np.empty((len(_APP_WINDOWS), APP_DIM))
     for b, (r0, c0) in enumerate(_APP_WINDOWS):
         vec = values[:, r0 : r0 + APP_WINDOW, c0 : c0 + APP_WINDOW].ravel()
         norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        out.append(AppearanceFeature(act.index, b, vec))
+        out[b] = vec / norm if norm > 0 else vec
     return out

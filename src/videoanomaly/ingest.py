@@ -171,6 +171,23 @@ def write_pgm(path, gray: np.ndarray) -> None:
 _TRAILING_INT = re.compile(r"(\d+)\D*$")
 
 
+def _pnm_sequence(source: Path, what: str, empty: str) -> list[str]:
+    """Sorted .pgm/.ppm names in ``source``, checked for numbering order.
+
+    ``what`` and ``empty`` complete the "not a directory of ..." and
+    "no ... found" messages of the FormatError raised otherwise.
+    """
+    if not source.is_dir():
+        raise FormatError(f"{source}: not a directory of {what}")
+    names = sorted(
+        p.name for p in source.iterdir() if p.suffix.lower() in (".pgm", ".ppm")
+    )
+    if not names:
+        raise FormatError(f"{source}: no {empty} found")
+    _check_sequence_order(names, source)
+    return names
+
+
 def _check_sequence_order(names: list[str], source) -> None:
     indices = []
     for name in names:
@@ -203,14 +220,7 @@ def load_frames(source, format: str = "pgm-sequence") -> list[Frame]:
 
 
 def _load_pgm_sequence(source: Path) -> list[Frame]:
-    if not source.is_dir():
-        raise FormatError(f"{source}: not a directory of PGM files")
-    names = sorted(
-        p.name for p in source.iterdir() if p.suffix.lower() in (".pgm", ".ppm")
-    )
-    if not names:
-        raise FormatError(f"{source}: no .pgm/.ppm files found")
-    _check_sequence_order(names, source)
+    names = _pnm_sequence(source, "PGM files", ".pgm/.ppm files")
     frames = []
     for idx, name in enumerate(names):
         gray = read_pnm(source / name)
@@ -318,14 +328,7 @@ def load_masks(source, frame_count: int | None = None) -> GroundTruth:
     given, a differing mask count raises AlignmentError.
     """
     source = Path(source)
-    if not source.is_dir():
-        raise FormatError(f"{source}: not a directory of mask PGMs")
-    names = sorted(
-        p.name for p in source.iterdir() if p.suffix.lower() in (".pgm", ".ppm")
-    )
-    if not names:
-        raise FormatError(f"{source}: no mask files found")
-    _check_sequence_order(names, source)
+    names = _pnm_sequence(source, "mask PGMs", "mask files")
     if frame_count is not None and len(names) != frame_count:
         raise AlignmentError(
             f"{source}: {len(names)} masks for {frame_count} video frames"

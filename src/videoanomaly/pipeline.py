@@ -33,20 +33,21 @@ from .errors import (
     StreamTooShortError,
 )
 from .features import (
+    APP_LAYOUT,
+    CUBE_DIM,
     GRID_H,
     GRID_W,
     STACK,
     WORK_H,
     WORK_W,
     BinLayout,
-    _cube_grid,
     bin_activations,
+    cube_grid,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
 from .unmasking import UnmaskingProfile, WindowBatch, score, unmask
 
 CHANNELS = ("motion", "appearance", "fusion")
-APPEARANCE_BINS = 4
 CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
 
 
@@ -97,7 +98,7 @@ class DetectorConfig:
 
     def n_bins(self, channel: str) -> int:
         # appearance binning is fixed by the 13x13 activation geometry
-        return self.bins.n_bins if channel == "motion" else APPEARANCE_BINS
+        return self.bins.n_bins if channel == "motion" else APP_LAYOUT.n_bins
 
     def to_dict(self) -> dict:
         return {
@@ -168,7 +169,7 @@ class FeatureStore:
                 raise ValueError(
                     f"expected activation index {idx}, got {activation.index}"
                 )
-            self._app[idx] = np.stack([f.values for f in bin_activations(activation)])
+            self._app[idx] = bin_activations(activation)
         self.extract_seconds += time.perf_counter() - t0
         self.frames_seen += 1
         return idx
@@ -187,7 +188,7 @@ class FeatureStore:
             stack = np.stack([self._resized[start + i] for i in range(STACK)])
         except KeyError as exc:
             raise ValueError(f"frame {exc.args[0]} not available for slot {start}") from None
-        result = _cube_grid(stack)
+        result = cube_grid(stack)
         self._slots[start] = result
         self.extract_seconds += time.perf_counter() - t0
         return result
@@ -222,7 +223,6 @@ def window_batch(
     """
     start, end = window
     w = (end - start) // 2
-    window_id = start // store.config.stride
     if channel == "motion":
         xs, ys = [], []
         mask = store.bin_cell_mask(bin)
@@ -238,17 +238,14 @@ def window_batch(
             x = np.concatenate(xs)
             y = np.concatenate(ys)
         else:
-            x = np.empty((0, PATCH_DIM))
+            x = np.empty((0, CUBE_DIM))
             y = np.empty(0, np.uint8)
-        return WindowBatch(x, y, window_id, bin, channel)
+        return WindowBatch(x, y, channel)
     if channel == "appearance":
         x = np.stack([store.appearance(f)[bin] for f in range(start, end)])
         y = (np.arange(start, end) - start >= w).astype(np.uint8)
-        return WindowBatch(x, y, window_id, bin, channel)
+        return WindowBatch(x, y, channel)
     raise ValueError(f"unknown channel {channel!r}")
-
-
-PATCH_DIM = 500
 
 
 @dataclass

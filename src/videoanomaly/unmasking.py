@@ -31,7 +31,7 @@ the tests hold the primal route as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -60,8 +60,6 @@ class WindowBatch:
 
     x: np.ndarray
     y: np.ndarray
-    window_id: int = 0
-    bin: int = 0
     channel: str = ""
 
     def __post_init__(self):
@@ -104,14 +102,10 @@ class UnmaskingProfile:
     """
 
     accuracies: np.ndarray
-    loops: int
-    eliminated_per_loop: int
-    active_counts: list[int] = field(default_factory=list)
+    active_counts: list[int]
 
     def __post_init__(self):
         self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if self.accuracies.shape != (self.loops,):
-            raise ValueError("profile length must equal loop count")
 
 
 def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -280,7 +274,7 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         state, acc = train_logistic(batch, active, lam)
         accuracies[i] = acc
         active = eliminate_features(state, m)
-    return UnmaskingProfile(accuracies, k, m, counts)
+    return UnmaskingProfile(accuracies, counts)
 
 
 def score(profile: UnmaskingProfile) -> float:

@@ -191,15 +191,15 @@ def test_criterion_8_appearance_binning_oracle(criterion_report):
     for i in range(100):
         values = rng.random((256, 13, 13)).astype(np.float32)
         feats = bin_activations(ActivationFrame(i, 256, 13, 13, values))
-        for f, (r0, c0) in zip(feats, corners):
+        for row, (r0, c0) in zip(feats, corners):
             raw = np.zeros(12544)
             for ch in range(256):
                 for r in range(7):
                     for c in range(7):
                         raw[ch * 49 + r * 7 + c] = values[ch, r0 + r, c0 + c]
-            if not np.array_equal(f.values, raw / np.linalg.norm(raw)):
+            if not np.array_equal(row, raw / np.linalg.norm(raw)):
                 exact = False
-            worst_norm = max(worst_norm, abs(float(np.linalg.norm(f.values)) - 1.0))
+            worst_norm = max(worst_norm, abs(float(np.linalg.norm(row)) - 1.0))
     ok = exact and worst_norm <= 1e-9
     criterion_report(
         f"[criterion 8] {'PASS' if ok else 'FAIL'} appearance binning: "

@@ -1,0 +1,61 @@
+"""Guard for the benchmark's per-layer tracer.
+
+``benchmarks/tracer.py`` times the package by patching module attributes
+and class methods by name. A renamed or deleted target breaks
+``benchmarks/run.py --trace 1`` without failing any other test, so these
+tests load the tracer from its file and check every target against the
+package.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from videoanomaly import DetectorConfig, StreamingDetector, synth
+
+TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    if not TRACER.is_file():
+        pytest.skip("benchmarks/ is not part of this checkout")
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves(tracer):
+    for module, path, name in tracer.TARGETS:
+        owner, attr = tracer.resolve(module, path)
+        # the tracer patches the owner's own attribute, not an inherited one
+        assert attr in vars(owner), f"{module}.{path} ({name})"
+        assert callable(vars(owner)[attr]), f"{module}.{path} ({name})"
+
+
+def test_traced_run_feeds_every_observer(tracer):
+    frames = synth.noise_video(25, seed=0)
+    acts = synth.noise_activations(25, seed=0)
+    det = StreamingDetector(DetectorConfig(channel="fusion", k=2))
+    with tracer.Tracer() as tr:
+        with tr.root():
+            for frame, act in zip(frames, acts):
+                det.push(frame, act)
+            det.finalize()
+    names = set(tr.names)
+    for span in ("pipeline.push", "features.add", "features.slot", "unmasking.unmask",
+                 "unmasking.train", "pipeline.window_batch", "pipeline.aggregate"):
+        assert span in names, span
+    assert tr.emitting
+    assert tr.counts["slot_cells"] == 5 * 12 * 16  # five 5-frame slots
+    assert tr.counts["examples"] > 0
+    # leaving the block restores every patched attribute
+    for module, path, _ in tracer.TARGETS:
+        owner, attr = tracer.resolve(module, path)
+        assert not hasattr(vars(owner)[attr], "__wrapped__")
+    assert np.isfinite(tr.self_times()).all()

@@ -79,12 +79,23 @@ def test_run_optional_dumps(video, tmp_path):
     assert rc == 0
     with np.load(maps) as doc:
         assert doc["motion"].shape == (120, 12, 16)
-    header = prof.read_text().splitlines()[0]
+    header, *rows = prof.read_text().splitlines()
     assert header == "window_id,bin,channel,loop,accuracy"
     doc = json.loads(bins.read_text())
     assert len(doc) == 21
     assert doc["0"]["start"] == 0
     assert len(doc["0"]["motion"]) == 4
+    # windows x bins x k rows; each bin score is the mean of its k accuracies
+    k = json.loads((tmp_path / "scores.csv.manifest.json").read_text())["config"]["k"]
+    assert len(rows) == 21 * 4 * k
+    accuracies = {}
+    for row in rows:
+        window, b, channel, _, acc = row.split(",")
+        accuracies.setdefault((window, int(b), channel), []).append(float(acc))
+    assert len(accuracies) == 21 * 4
+    for (window, b, channel), accs in accuracies.items():
+        assert len(accs) == k
+        assert doc[window][channel][b] == float(np.mean(accs))
 
 
 def test_run_config_file_and_flag_precedence(video, tmp_path):

@@ -12,11 +12,11 @@ from videoanomaly import (
     DetectionResult,
     DetectorConfig,
     GroundTruth,
-    ScoreMap,
     WindowRecord,
     aggregate,
     cube_score_map,
     frame_auc,
+    grid_to_pixels,
     load_maps_npz,
     pixel_auc,
     run_detector,
@@ -117,18 +117,18 @@ def test_report_json_and_csv(tmp_path):
 def test_map_upsampling_extents():
     grid = np.zeros((12, 16))
     grid[2, 3] = 1.0
-    px = ScoreMap(0, grid).to_pixels(120, 160)
+    px = grid_to_pixels(grid, 120, 160)
     assert px.shape == (120, 160)
     hot = np.argwhere(px == 1.0)
     assert hot[:, 0].min() == 20 and hot[:, 0].max() == 29
     assert hot[:, 1].min() == 30 and hot[:, 1].max() == 39
-    px2 = ScoreMap(0, grid).to_pixels(240, 320)
+    px2 = grid_to_pixels(grid, 240, 320)
     assert np.count_nonzero(px2) == 20 * 20
 
 
 def test_map_upsampling_non_multiple_size():
     grid = np.arange(192, dtype=float).reshape(12, 16)
-    px = ScoreMap(0, grid).to_pixels(90, 130)
+    px = grid_to_pixels(grid, 90, 130)
     assert px.shape == (90, 130)
     assert set(np.unique(px)) == set(np.unique(grid))  # every cell is sampled
     assert np.all(np.diff(px[0]) >= 0)  # row-major cell order preserved
@@ -136,7 +136,7 @@ def test_map_upsampling_non_multiple_size():
 
 def test_map_identity_resolution():
     grid = np.random.default_rng(3).random((12, 16))
-    assert np.array_equal(ScoreMap(0, grid).to_pixels(12, 16), grid)
+    assert np.array_equal(grid_to_pixels(grid, 12, 16), grid)
 
 
 def test_smooth_map_matches_dense_reference():
@@ -183,17 +183,17 @@ def test_cube_score_map_motion_needs_cube_presence():
     presence[2, 3] = True  # a bin-0 cell
     rec = WindowRecord(0, 0, {"motion": np.array([0.9, 0.3, 0.2, 0.1])}, {}, presence)
     maps = cube_score_map(_result_with([rec], config), channel="motion")
-    assert len(maps) == 20
-    for m in maps:  # single window: every frame backfills to the same grid
-        assert m.grid[2, 3] == 0.9
-        assert m.grid.sum() == 0.9  # all cube-free cells stay 0, other bins too
+    assert maps.shape == (20, 12, 16)
+    for grid in maps:  # single window: every frame backfills to the same grid
+        assert grid[2, 3] == 0.9
+        assert grid.sum() == 0.9  # all cube-free cells stay 0, other bins too
 
 
 def test_cube_score_map_appearance_covers_whole_bin():
     config = DetectorConfig(channel="appearance", w=10)
     rec = WindowRecord(0, 0, {"appearance": np.array([0.9, 0.3, 0.2, 0.1])}, {}, None)
     maps = cube_score_map(_result_with([rec], config), channel="appearance")
-    grid = maps[0].grid
+    grid = maps[0]
     assert np.all(grid[:6, :8] == 0.9)
     assert np.all(grid[:6, 8:] == 0.3)
     assert np.all(grid[6:, :8] == 0.2)
@@ -207,8 +207,9 @@ def test_cube_score_map_fused_is_channel_mean():
     motion = cube_score_map(result, "motion")
     appearance = cube_score_map(result, "appearance")
     fused = cube_score_map(result, "fused")
+    assert fused.shape == motion.shape == appearance.shape == (25, 12, 16)
     for f, m, a in zip(fused, motion, appearance):
-        assert np.allclose(f.grid, (m.grid + a.grid) / 2, atol=1e-15)
+        assert np.allclose(f, (m + a) / 2, atol=1e-15)
 
 
 def _cube_score_map_by_loop(result, channel):
@@ -251,7 +252,7 @@ def test_cube_score_map_matches_loop_oracle():
     result = run_detector(frames=frames, activations=acts, config=config)
     assert (64 - 20) % 3  # a tail after the last window is backfilled
     for channel in ("motion", "appearance", "fused"):
-        grids = np.stack([m.grid for m in cube_score_map(result, channel)])
+        grids = cube_score_map(result, channel)
         expected = _cube_score_map_by_loop(result, channel)
         assert np.array_equal(grids, expected), channel
         assert len(np.unique(grids)) > 5  # scores vary across cells and frames
@@ -277,11 +278,23 @@ def test_maps_npz_roundtrip(tmp_path):
     write_maps_npz(result, path)
     back = load_maps_npz(path, channel="motion")
     fwd = cube_score_map(result, "motion")
-    assert len(back) == 25
-    for a, b in zip(fwd, back):
-        assert np.array_equal(a.grid, b.grid)
+    assert back.shape == (25, 12, 16)
+    assert np.array_equal(fwd, back)
     with pytest.raises(CapabilityError):
         load_maps_npz(path, channel="appearance")
+
+
+@pytest.mark.parametrize("channel", ["motion", "fusion"])
+def test_write_maps_npz_matches_cube_score_map(tmp_path, channel):
+    frames = synth.noise_video(25, seed=7)
+    acts = synth.noise_activations(25, seed=7) if channel == "fusion" else None
+    result = run_detector(frames=frames, activations=acts, config=DetectorConfig(channel=channel))
+    path = tmp_path / "maps.npz"
+    write_maps_npz(result, path)
+    with np.load(path) as doc:
+        assert sorted(doc.keys()) == sorted([*result.series.channels, "fused"])
+        for key in doc.keys():
+            assert np.array_equal(doc[key], cube_score_map(result, key)), key
 
 
 # ------------------------------------------------------------- pixel AUC
@@ -297,7 +310,7 @@ def _pixel_auc_reference(maps, gt, sigma_px, negative_min_pixels=1):
     """Threshold-sweep oracle: walk every distinct pixel value and count
     detected frames under the coverage rules directly."""
     h, w = gt.pixel_masks[0].shape
-    pixels = [smooth_map(m.to_pixels(h, w), sigma_px) for m in maps]
+    pixels = [smooth_map(grid_to_pixels(m, h, w), sigma_px) for m in maps]
     labels = np.asarray(gt.frame_labels)
     cands = np.unique(np.concatenate([p.ravel() for p in pixels]))
     points = [(0.0, 0.0)]
@@ -319,7 +332,7 @@ def _pixel_auc_reference(maps, gt, sigma_px, negative_min_pixels=1):
 def test_pixel_auc_matches_threshold_sweep():
     rng = np.random.default_rng(7)
     for trial in range(5):
-        maps = [ScoreMap(i, rng.random((12, 16))) for i in range(8)]
+        maps = rng.random((8, 12, 16))
         masks = []
         for i in range(8):
             if rng.random() < 0.5:
@@ -348,7 +361,7 @@ def test_pixel_auc_forty_percent_is_strict():
     mask = np.zeros((12, 16), dtype=bool)
     mask[0, :10] = True
     gt = GroundTruth(np.array([1, 0]), [mask, np.zeros((12, 16), dtype=bool)])
-    maps = [ScoreMap(0, grid_pos), ScoreMap(1, grid_neg)]
+    maps = [grid_pos, grid_neg]
     assert pixel_auc(maps, gt, sigma_px=0.0).auc == 0.0
     # one more hot pixel crosses the boundary (50% > 40%) and flips the curve
     grid_pos[0, 4] = 0.9
@@ -363,7 +376,7 @@ def test_pixel_auc_negative_min_pixels():
     mask = np.zeros((12, 16), dtype=bool)
     mask[0, :10] = True
     gt = GroundTruth(np.array([1, 0]), [mask, np.zeros((12, 16), dtype=bool)])
-    maps = [ScoreMap(0, grid_pos), ScoreMap(1, grid_neg)]
+    maps = [grid_pos, grid_neg]
     assert pixel_auc(maps, gt, sigma_px=0.0).auc == 0.0
     assert pixel_auc(maps, gt, sigma_px=0.0, negative_min_pixels=3).auc == 1.0
 
@@ -371,7 +384,7 @@ def test_pixel_auc_negative_min_pixels():
 def test_pixel_auc_uniform_maps_score_chance():
     # sigma 0 keeps the values exactly tied; blurring a constant map leaves
     # ~1e-16 ripples that would order the criticals arbitrarily
-    maps = [ScoreMap(i, np.full((12, 16), 0.4)) for i in range(4)]
+    maps = np.full((4, 12, 16), 0.4)
     mask = np.zeros((24, 32), dtype=bool)
     mask[:6, :6] = True
     gt = GroundTruth(np.array([1, 0, 1, 0]), [mask, np.zeros_like(mask), mask, np.zeros_like(mask)])
@@ -379,7 +392,7 @@ def test_pixel_auc_uniform_maps_score_chance():
 
 
 def test_pixel_auc_requires_masks_and_alignment():
-    maps = [ScoreMap(i, np.zeros((12, 16))) for i in range(3)]
+    maps = np.zeros((3, 12, 16))
     with pytest.raises(CapabilityError):
         pixel_auc(maps, GroundTruth(np.array([0, 1, 0])))
     mask = np.ones((10, 10), dtype=bool)

@@ -7,8 +7,7 @@ from videoanomaly import (
     BinLayout,
     Frame,
     bin_activations,
-    bin_of_patch,
-    extract_cubes,
+    cube_grid,
     gradient_feature,
 )
 from videoanomaly.features import STATIC_EPS
@@ -20,10 +19,9 @@ def _noise_frames(count, seed=0, height=120, width=160):
     return [Frame(i, width, height, rng.random((height, width))) for i in range(count)]
 
 
-def _cube_index(features, gx, gy):
-    hits = [c for c in features if c.grid_x == gx and c.grid_y == gy]
-    assert len(hits) == 1
-    return hits[0]
+def _cubes(frames):
+    """(vectors, keep) of the cube grid over a 5-frame list."""
+    return cube_grid(np.stack([f.pixels for f in frames]))
 
 
 # --------------------------------------------------------- voxel gradients
@@ -70,21 +68,21 @@ def test_gradient_feature_rejects_wrong_shape():
 
 
 def test_dense_noise_yields_full_cube_budget():
-    cubes = extract_cubes(_noise_frames(5))
-    assert len(cubes) == 192
-    per_bin = np.bincount([c.bin for c in cubes], minlength=4)
+    vectors, keep = _cubes(_noise_frames(5))
+    assert vectors.shape == (12, 16, 500)
+    assert keep.sum() == 192
+    per_bin = np.bincount(BinLayout().patch_bin_grid()[keep], minlength=4)
     assert np.array_equal(per_bin, [48, 48, 48, 48])
-    for c in cubes:
-        assert c.values.shape == (500,)
-        assert np.linalg.norm(c.values) == pytest.approx(1.0, abs=1e-9)
-        assert c.frame_start == 0
+    norms = np.linalg.norm(vectors[keep], axis=1)
+    assert np.allclose(norms, 1.0, rtol=0, atol=1e-9)
 
 
 def test_static_video_yields_no_cubes():
     rng = np.random.default_rng(1)
     img = rng.random((120, 160))
     frames = [Frame(i, 160, 120, img) for i in range(5)]
-    assert extract_cubes(frames) == []
+    _, keep = _cubes(frames)
+    assert not keep.any()
 
 
 def test_static_gate_is_per_cell():
@@ -92,20 +90,20 @@ def test_static_gate_is_per_cell():
     # freeze one cell over time: spatial texture alone must not keep it
     for f in frames[1:]:
         f.pixels[30:40, 50:60] = frames[0].pixels[30:40, 50:60]
-    cubes = extract_cubes(frames)
-    assert len(cubes) == 191
-    assert not [c for c in cubes if c.grid_x == 5 and c.grid_y == 3]
+    _, keep = _cubes(frames)
+    assert keep.sum() == 191
+    assert not keep[3, 5]
 
 
 def test_locality_single_patch_changes_single_cube():
     frames_a = _noise_frames(5, seed=3)
     frames_b = [Frame(f.index, f.width, f.height, f.pixels.copy()) for f in frames_a]
     frames_b[2].pixels[80:90, 120:130] += 0.5
-    before = {(c.grid_x, c.grid_y): c.values for c in extract_cubes(frames_a)}
-    after = {(c.grid_x, c.grid_y): c.values for c in extract_cubes(frames_b)}
-    assert set(before) == set(after)
-    changed = [key for key in before if not np.array_equal(before[key], after[key])]
-    assert changed == [(12, 8)]
+    before, keep_a = _cubes(frames_a)
+    after, keep_b = _cubes(frames_b)
+    assert np.array_equal(keep_a, keep_b)
+    changed = np.argwhere((before != after).any(axis=-1) & keep_a)
+    assert changed.tolist() == [[8, 12]]  # (grid_y, grid_x)
 
 
 def test_descriptor_is_position_invariant():
@@ -115,19 +113,18 @@ def test_descriptor_is_position_invariant():
     stack = np.zeros((5, 120, 160))
     stack[:, 20:30, 10:20] = patch
     stack[:, 70:80, 110:120] = patch
-    frames = [Frame(i, 160, 120, stack[i]) for i in range(5)]
-    cubes = extract_cubes(frames)
-    a = _cube_index(cubes, 1, 2)
-    b = _cube_index(cubes, 11, 7)
-    assert np.array_equal(a.values, b.values)
+    vectors, keep = cube_grid(stack)
+    assert keep[2, 1] and keep[7, 11]
+    assert np.array_equal(vectors[2, 1], vectors[7, 11])
 
 
 def test_descriptor_is_scale_invariant_after_normalization():
     frames = _noise_frames(5, seed=5)
     doubled = [Frame(f.index, f.width, f.height, f.pixels * 2.0) for f in frames]
-    for a, b in zip(extract_cubes(frames), extract_cubes(doubled)):
-        assert (a.grid_x, a.grid_y, a.bin) == (b.grid_x, b.grid_y, b.bin)
-        assert np.allclose(a.values, b.values, atol=1e-12)
+    a, keep_a = _cubes(frames)
+    b, keep_b = _cubes(doubled)
+    assert np.array_equal(keep_a, keep_b)
+    assert np.allclose(a[keep_a], b[keep_b], atol=1e-12)
 
 
 def test_barely_static_cell_is_gated():
@@ -135,26 +132,57 @@ def test_barely_static_cell_is_gated():
     base = frames[0].pixels[0:10, 0:10].copy()
     for i, f in enumerate(frames):
         f.pixels[0:10, 0:10] = base + i * (STATIC_EPS / 10)
-    cubes = extract_cubes(frames)
-    assert not [c for c in cubes if c.grid_x == 0 and c.grid_y == 0]
+    _, keep = _cubes(frames)
+    assert not keep[0, 0]
 
 
-def test_extract_cubes_validates_input():
+def test_cube_grid_validates_shape():
     with pytest.raises(ValueError):
-        extract_cubes(_noise_frames(4))
-    bad = _noise_frames(5, height=60, width=80)
+        cube_grid(np.zeros((4, 120, 160)))
     with pytest.raises(ValueError):
-        extract_cubes(bad)
+        cube_grid(np.zeros((5, 60, 80)))
+    with pytest.raises(ValueError):
+        cube_grid(np.zeros((5, 120, 160, 1)))
+
+
+def _cubes_by_block(stack):
+    """Oracle for cube_grid: gradient_feature on each 10x10x5 block, the
+    static rule max |d/dt| >= STATIC_EPS, and a row-wise L2 norm."""
+    vectors = np.empty((12, 16, 500))
+    keep = np.empty((12, 16), dtype=bool)
+    for gy in range(12):
+        for gx in range(16):
+            block = stack[:, gy * 10 : (gy + 1) * 10, gx * 10 : (gx + 1) * 10]
+            f = gradient_feature(block.transpose(1, 2, 0))
+            keep[gy, gx] = np.abs(np.gradient(block, axis=0)).max() >= STATIC_EPS
+            norm = np.linalg.norm(f[None], axis=-1)
+            vectors[gy, gx] = f / norm if norm > 0 else f
+    return vectors, keep
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cube_grid_matches_per_block_oracle(seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.random((5, 120, 160))
+    gy, gx = rng.integers(0, 12), rng.integers(0, 16)
+    cell = (slice(gy * 10, (gy + 1) * 10), slice(gx * 10, (gx + 1) * 10))
+    stack[(slice(None), *cell)] = stack[(0, *cell)]  # freeze one cell over time
+    vectors, keep = cube_grid(stack)
+    expected_vectors, expected_keep = _cubes_by_block(stack)
+    assert np.array_equal(keep, expected_keep)
+    assert not keep[gy, gx] and keep.sum() == 191
+    assert np.array_equal(vectors, expected_vectors)
 
 
 # --------------------------------------------------------------- bin layout
 
 
-def test_bin_of_patch_quadrants():
-    assert bin_of_patch(0, 0) == 0
-    assert bin_of_patch(8, 0) == 1
-    assert bin_of_patch(7, 6) == 2
-    assert bin_of_patch(15, 11) == 3
+def test_patch_bin_grid_quadrants():
+    grid = BinLayout().patch_bin_grid()
+    assert grid[0, 0] == 0
+    assert grid[0, 8] == 1
+    assert grid[6, 7] == 2
+    assert grid[11, 15] == 3
 
 
 def test_bin_layout_from_string():
@@ -179,10 +207,10 @@ def test_bin_layout_1x1():
     layout = BinLayout(1, 1)
     assert layout.n_bins == 1
     assert np.all(layout.patch_bin_grid() == 0)
-    cubes = extract_cubes(_noise_frames(5, seed=8), layout)
+    _, keep = _cubes(_noise_frames(5, seed=8))
     # the per-bin budget is the bin's cell count; one bin holds the grid
-    assert len(cubes) == 192
-    assert {c.bin for c in cubes} == {0}
+    assert keep.sum() == 192
+    assert set(layout.patch_bin_grid()[keep]) == {0}
 
 
 # ------------------------------------------------------ appearance features
@@ -195,12 +223,10 @@ def _act(values, frame=0):
 def test_bin_activations_shape_and_norm():
     rng = np.random.default_rng(9)
     feats = bin_activations(_act(rng.random((256, 13, 13)), frame=4))
-    assert len(feats) == 4
-    assert [f.bin for f in feats] == [0, 1, 2, 3]
-    for f in feats:
-        assert f.frame == 4
-        assert f.values.shape == (12544,)
-        assert np.linalg.norm(f.values) == pytest.approx(1.0, abs=1e-9)
+    assert feats.shape == (4, 12544)
+    assert feats.dtype == np.float64
+    for row in feats:
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bin_activations_center_indicator_positions():
@@ -209,18 +235,18 @@ def test_bin_activations_center_indicator_positions():
     values = np.zeros((256, 13, 13))
     values[0, 6, 6] = 1.0
     feats = bin_activations(_act(values))
-    for f, pos in zip(feats, (48, 42, 6, 0)):
-        assert f.values[pos] == 1.0
-        assert f.values.sum() == 1.0
+    for row, pos in zip(feats, (48, 42, 6, 0)):
+        assert row[pos] == 1.0
+        assert row.sum() == 1.0
 
 
 def test_bin_activations_channel_stride():
     values = np.zeros((256, 13, 13))
     values[3, 0, 0] = 2.0
     feats = bin_activations(_act(values))
-    assert feats[0].values[3 * 49] == 1.0  # normalized to unit length
-    assert np.count_nonzero(feats[0].values) == 1
-    assert np.count_nonzero(feats[3].values) == 0  # (0,0) not in bottom-right window
+    assert feats[0][3 * 49] == 1.0  # normalized to unit length
+    assert np.count_nonzero(feats[0]) == 1
+    assert np.count_nonzero(feats[3]) == 0  # (0,0) not in bottom-right window
 
 
 def test_bin_activations_windows_share_center_row():
@@ -228,15 +254,14 @@ def test_bin_activations_windows_share_center_row():
     values = rng.random((256, 13, 13))
     feats = bin_activations(_act(values))
     raw = [values[:, r : r + 7, c : c + 7].reshape(-1) for r, c in ((0, 0), (0, 6), (6, 0), (6, 6))]
-    for f, r in zip(feats, raw):
-        assert np.allclose(f.values, r / np.linalg.norm(r), atol=0)
+    for row, r in zip(feats, raw):
+        assert np.allclose(row, r / np.linalg.norm(r), atol=0)
 
 
 def test_bin_activations_zero_tensor_stays_zero():
     feats = bin_activations(_act(np.zeros((256, 13, 13))))
-    for f in feats:
-        assert not np.any(f.values)
-        assert not np.any(np.isnan(f.values))
+    assert not np.any(feats)
+    assert not np.any(np.isnan(feats))
 
 
 def test_bin_activations_rejects_other_shapes():

@@ -82,7 +82,7 @@ def _unmask_primal(batch, k=10, m=50, lam=0.1):
         accuracies.append(acc)
         active = _eliminate_by_sort(state, m)
         kept.append(active)
-    return UnmaskingProfile(accuracies, k, m, counts), kept
+    return UnmaskingProfile(accuracies, counts), kept
 
 
 def _unmask_recorded(monkeypatch, batch, k=10, m=50, lam=0.1):
