@@ -58,7 +58,6 @@ from .pipeline import (
     FeatureStore,
     ScoreSeries,
     StreamingDetector,
-    WindowRecord,
     aggregate,
     plan_windows,
     read_scores_csv,
@@ -103,7 +102,6 @@ __all__ = [
     "UnmaskingProfile",
     "VideoAnomalyError",
     "WindowBatch",
-    "WindowRecord",
     "aggregate",
     "bin_activations",
     "cube_grid",

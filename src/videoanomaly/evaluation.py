@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import AlignmentError, CapabilityError, DataError
+from .errors import AlignmentError, CapabilityError, DataError, FormatError
 from .features import APP_LAYOUT, GRID_H, GRID_W
 from .ingest import GroundTruth
 from .pipeline import DetectionResult, coverage_mean
@@ -162,10 +163,6 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
     the frame rule: mean over covering windows, nearest-neighbor backfill
     for uncovered frames. channel 'fused' averages the enabled channels.
     """
-    if not result.windows:
-        raise CapabilityError(
-            "detection result carries no per-window records; rerun with maps enabled"
-        )
     enabled = result.series.channels
     if channel == "fused":
         wanted = enabled
@@ -174,24 +171,14 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
     else:
         raise CapabilityError(f"channel {channel!r} was not part of the run {enabled}")
     t = result.frame_count
-    bin_grids = {
-        "motion": result.config.bins.patch_bin_grid(),
-        "appearance": APP_LAYOUT.patch_bin_grid(),
-    }
-    starts = [rec.start for rec in result.windows]
     per_channel = []
-    for ch in wanted:
-        rows = []
-        for rec in result.windows:
-            cell_scores = rec.bin_scores[ch][bin_grids[ch]]
-            if ch == "motion":
-                if rec.presence is None:
-                    raise CapabilityError(
-                        "motion window records lack cube presence; rerun with maps enabled"
-                    )
-                cell_scores = cell_scores * rec.presence
-            rows.append(cell_scores.ravel())
-        flat = coverage_mean(starts, rows, result.config.w, 0, t)
+    for ch in wanted:  # (W, 12, 16) cell scores per channel
+        if ch == "motion":
+            cells = result.bin_scores[ch][:, result.config.bins.patch_bin_grid()] * result.presence
+        else:
+            cells = result.bin_scores[ch][:, APP_LAYOUT.patch_bin_grid()]
+        rows = cells.reshape(len(cells), GRID_H * GRID_W)
+        flat = coverage_mean(result.windows, rows, result.config.w, 0, t)
         per_channel.append(flat.reshape(t, GRID_H, GRID_W))
     return np.mean(per_channel, axis=0)
 
@@ -258,13 +245,20 @@ def write_maps_npz(result: DetectionResult, path) -> None:
 
 
 def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
-    """Load one channel's (T, 12, 16) score grids."""
-    with np.load(path) as data:
-        if channel not in data:
-            raise CapabilityError(
-                f"{path}: no {channel!r} maps present (has {sorted(data.keys())})"
-            )
-        grids = data[channel]
-    if grids.ndim != 3 or grids.shape[1:] != (GRID_H, GRID_W):
+    """Load one channel's (T, 12, 16) score grids from an npz archive."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise FormatError(f"{path}: not an npz archive")
+        with data:
+            if channel not in data:
+                raise CapabilityError(
+                    f"{path}: no {channel!r} maps present (has {sorted(data.keys())})"
+                )
+            grids = data[channel]
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a readable npz archive ({exc})") from None
+    # a member without the .npy header comes back as raw bytes
+    if not isinstance(grids, np.ndarray) or grids.shape[1:] != (GRID_H, GRID_W):
         raise DataError(f"{path}: maps must be (frames, {GRID_H}, {GRID_W})")
     return grids

@@ -141,6 +141,8 @@ def read_pnm(path) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise FormatError(f"{path}: non-numeric PNM header field") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: non-positive dimensions in PNM header")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
     per_px = 3 if color else 1

@@ -12,7 +12,7 @@ Scores are final as soon as every window covering a frame has closed, so
 the detector emits them online with bounded lookahead: at the close of
 window j, frames below (j+1)*s + w are finalized. The emitted smoothed
 value uses the truncated kernel over the finalized prefix; finalize()
-recomputes the whole series from the per-window records and is
+recomputes the whole series from the per-window bin scores and is
 bit-identical to a batch run over the same input.
 """
 
@@ -29,14 +29,13 @@ import numpy as np
 from .errors import (
     AlignmentError,
     CapabilityError,
+    DataError,
     FormatError,
     StreamTooShortError,
 )
 from .features import (
     APP_LAYOUT,
     CUBE_DIM,
-    GRID_H,
-    GRID_W,
     STACK,
     WORK_H,
     WORK_W,
@@ -45,7 +44,7 @@ from .features import (
     cube_grid,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
-from .unmasking import UnmaskingProfile, WindowBatch, score, unmask
+from .unmasking import WindowBatch, score, unmask
 
 CHANNELS = ("motion", "appearance", "fusion")
 CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
@@ -130,7 +129,7 @@ def plan_windows(frame_count: int, w: int, stride: int) -> list[tuple[int, int]]
 
 
 class FeatureStore:
-    """Per-frame feature caches shared by the batch and streaming paths.
+    """Per-frame feature caches of the streaming detector.
 
     Holds resized frames, per-slot motion cube grids (keyed by the slot's
     first frame) and per-frame appearance vectors. evict_below() drops
@@ -240,23 +239,12 @@ def window_batch(
         else:
             x = np.empty((0, CUBE_DIM))
             y = np.empty(0, np.uint8)
-        return WindowBatch(x, y, channel)
+        return WindowBatch(x, y)
     if channel == "appearance":
         x = np.stack([store.appearance(f)[bin] for f in range(start, end)])
         y = (np.arange(start, end) - start >= w).astype(np.uint8)
-        return WindowBatch(x, y, channel)
+        return WindowBatch(x, y)
     raise ValueError(f"unknown channel {channel!r}")
-
-
-@dataclass
-class WindowRecord:
-    """Scores, profiles and map provenance of one closed window."""
-
-    window_id: int
-    start: int
-    bin_scores: dict[str, np.ndarray]
-    profiles: dict[str, list[UnmaskingProfile]]
-    presence: np.ndarray | None  # (12,16) bool, any surviving cube (motion)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +310,11 @@ def smooth(series, sigma: float) -> np.ndarray:
     return np.clip(num / den, 0.0, 1.0)
 
 
-def _frame_scores(records: Sequence[WindowRecord], config: DetectorConfig, lo: int, hi: int):
+def _frame_scores(starts, bin_scores, config: DetectorConfig, lo: int, hi: int):
     """Per-bin, per-channel and fused scores of frames [lo, hi): the
     coverage mean per (bin, channel), max over bins, mean over channels."""
-    starts = [rec.start for rec in records]
     per_bin = {
-        ch: coverage_mean(starts, [rec.bin_scores[ch] for rec in records], config.w, lo, hi)
+        ch: coverage_mean(starts, bin_scores[ch], config.w, lo, hi)
         for ch in config.enabled_channels
     }
     per_channel = {ch: values.max(axis=1) for ch, values in per_bin.items()}
@@ -336,15 +323,16 @@ def _frame_scores(records: Sequence[WindowRecord], config: DetectorConfig, lo: i
 
 
 def aggregate(
-    records: Sequence[WindowRecord], frame_count: int, config: DetectorConfig
+    starts, bin_scores: dict[str, np.ndarray], frame_count: int, config: DetectorConfig
 ) -> ScoreSeries:
-    """Reduce per-window bin scores to the per-frame series.
+    """Reduce per-window bin scores, one (W, n_bins) row per window start
+    in ``starts``, to the per-frame series.
 
     Per (bin, channel): mean over the windows whose second half contains
     the frame, frames with no covering window backfilled from the nearest
     covered frame. Then max over bins, mean over channels, smoothing.
     """
-    per_bin, per_channel, fused = _frame_scores(records, config, 0, frame_count)
+    per_bin, per_channel, fused = _frame_scores(starts, bin_scores, config, 0, frame_count)
     smoothed = smooth(fused, config.smooth_sigma)
     return ScoreSeries(frame_count, config.enabled_channels, per_bin, per_channel, fused, smoothed)
 
@@ -373,7 +361,10 @@ class DetectionResult:
     series: ScoreSeries
     config: DetectorConfig
     frame_count: int
-    windows: list[WindowRecord]
+    windows: np.ndarray  # (W,) window start frames, j * stride
+    bin_scores: dict[str, np.ndarray]  # channel -> (W, n_bins)
+    accuracies: dict[str, np.ndarray]  # channel -> (W, n_bins, k) unmasking profiles
+    presence: np.ndarray | None  # (W, 12, 16) bool, any surviving cube (motion)
     timing: dict[str, float]
 
     @property
@@ -399,7 +390,10 @@ class StreamingDetector:
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config or DetectorConfig()
         self.store = FeatureStore(self.config)
-        self.records: list[WindowRecord] = []
+        # one row per closed window, stacked by finalize()
+        self._bin_scores = {ch: [] for ch in self.config.enabled_channels}
+        self._accuracies = {ch: [] for ch in self.config.enabled_channels}
+        self._presence = []
         self.predict_seconds = 0.0
         self._next_window = 0
         self._emitted = 0
@@ -423,27 +417,23 @@ class StreamingDetector:
         return out
 
     def _close_window(self, window_id: int) -> None:
-        """Score window ``window_id`` on every (channel, bin) and record it."""
+        """Score window ``window_id`` on every (channel, bin) and append its rows."""
         cfg, store = self.config, self.store
         start = window_id * cfg.stride
         window = (start, start + 2 * cfg.w)
-        batches = [
-            window_batch(window, b, ch, store)
+        batches = {
+            ch: [window_batch(window, b, ch, store) for b in range(cfg.n_bins(ch))]
             for ch in cfg.enabled_channels
-            for b in range(cfg.n_bins(ch))
-        ]
-        presence = None
+        }
         if "motion" in cfg.enabled_channels:
-            presence = np.zeros((GRID_H, GRID_W), dtype=bool)
-            for slot_start in range(*window, STACK):
-                presence |= store.slot(slot_start)[1]
+            keeps = [store.slot(slot_start)[1] for slot_start in range(*window, STACK)]
+            self._presence.append(np.logical_or.reduce(keeps))
         store.evict_below(start + cfg.stride)
         t0 = time.perf_counter()
-        profiles: dict[str, list[UnmaskingProfile]] = {}
-        for batch in batches:  # in bin order within each channel
-            profiles.setdefault(batch.channel, []).append(unmask(batch, cfg.k, cfg.m, cfg.lam))
-        bin_scores = {ch: np.array([score(p) for p in ps]) for ch, ps in profiles.items()}
-        self.records.append(WindowRecord(window_id, start, bin_scores, profiles, presence))
+        for ch, channel_batches in batches.items():
+            profiles = [unmask(batch, cfg.k, cfg.m, cfg.lam) for batch in channel_batches]
+            self._accuracies[ch].append(np.array([p.accuracies for p in profiles]))
+            self._bin_scores[ch].append(np.array([score(p) for p in profiles]))
         self.predict_seconds += time.perf_counter() - t0
 
     def _emit_upto(self, horizon: int) -> list[Emission]:
@@ -455,12 +445,14 @@ class StreamingDetector:
         horizon = min(horizon, self.store.frames_seen)
         if horizon <= self._emitted:
             return []
-        cfg = self.config
+        cfg, closed = self.config, self._next_window
         # the range must hold a covered frame to backfill from: at the end
         # of a stride == w stream the last covered frame is already emitted
-        lo = min(self._emitted, self.records[-1].start + 2 * cfg.w - 1)
+        lo = min(self._emitted, (closed - 1) * cfg.stride + 2 * cfg.w - 1)
         first = max(0, (lo - 2 * cfg.w) // cfg.stride + 1)  # first window reaching lo
-        _, per_channel, fused = _frame_scores(self.records[first:], cfg, lo, horizon)
+        starts = range(first * cfg.stride, closed * cfg.stride, cfg.stride)
+        rows = {ch: scores[first:] for ch, scores in self._bin_scores.items()}
+        _, per_channel, fused = _frame_scores(starts, rows, cfg, lo, horizon)
         skip = self._emitted - lo
         fused = fused[skip:]
         # smoothing the new frames reads radius earlier values; keeping
@@ -498,13 +490,20 @@ class StreamingDetector:
             )
         t0 = time.perf_counter()
         tail = self._emit_upto(frame_count)
-        series = aggregate(self.records, frame_count, self.config)
+        windows = np.arange(self._next_window) * self.config.stride
+        bin_scores = {ch: np.stack(rows) for ch, rows in self._bin_scores.items()}
+        accuracies = {ch: np.stack(rows) for ch, rows in self._accuracies.items()}
+        presence = np.stack(self._presence) if self._presence else None
+        series = aggregate(windows, bin_scores, frame_count, self.config)
         self.predict_seconds += time.perf_counter() - t0
         result = DetectionResult(
             series,
             self.config,
             frame_count,
-            self.records,
+            windows,
+            bin_scores,
+            accuracies,
+            presence,
             {
                 "extract_seconds": self.store.extract_seconds,
                 "predict_seconds": self.predict_seconds,
@@ -591,7 +590,10 @@ def read_scores_csv(path) -> dict[str, np.ndarray | None]:
         for name, part in zip(names, parts):
             cols[name].append(part)
     out: dict[str, np.ndarray | None] = {}
-    frames = np.array([int(v) for v in cols["frame"]])
+    try:
+        frames = np.array([int(v) for v in cols["frame"]])
+    except ValueError:
+        raise FormatError(f"{path}: non-integer value in column frame") from None
     if frames.size and not np.array_equal(frames, np.arange(frames.size)):
         raise FormatError(f"{path}: frame column must be 0..N-1 in order")
     out["frame"] = frames
@@ -601,21 +603,24 @@ def read_scores_csv(path) -> dict[str, np.ndarray | None]:
             out[name] = None
         else:
             try:
-                out[name] = np.array([float(v) for v in vals])
+                values = np.array([float(v) for v in vals])
             except ValueError:
                 raise FormatError(f"{path}: non-numeric value in column {name}") from None
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: non-finite value in column {name}")
+            out[name] = values
     return out
 
 
 def dump_profiles_csv(result: DetectionResult, path) -> None:
-    """One row per (window, bin, channel, loop): the accuracy profile dump."""
+    """One row per (window, channel, bin, loop), in that order: the accuracy profile dump."""
     with open(path, "w") as fh:
         fh.write("window_id,bin,channel,loop,accuracy\n")
-        for rec in result.windows:
-            for ch, profiles in rec.profiles.items():
-                for b, profile in enumerate(profiles):
-                    for loop, acc in enumerate(profile.accuracies):
-                        fh.write(f"{rec.window_id},{b},{ch},{loop},{acc:.17g}\n")
+        for j in range(len(result.windows)):
+            for ch, accuracies in result.accuracies.items():
+                for b, profile in enumerate(accuracies[j]):
+                    for loop, acc in enumerate(profile):
+                        fh.write(f"{j},{b},{ch},{loop},{acc:.17g}\n")
 
 
 def dump_bins_json(result: DetectionResult, path) -> None:
@@ -623,11 +628,11 @@ def dump_bins_json(result: DetectionResult, path) -> None:
     import json
 
     payload = {
-        str(rec.window_id): {
-            "start": rec.start,
-            **{ch: [float(v) for v in scores] for ch, scores in rec.bin_scores.items()},
+        str(j): {
+            "start": int(start),
+            **{ch: [float(v) for v in scores[j]] for ch, scores in result.bin_scores.items()},
         }
-        for rec in result.windows
+        for j, start in enumerate(result.windows)
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -60,7 +60,6 @@ class WindowBatch:
 
     x: np.ndarray
     y: np.ndarray
-    channel: str = ""
 
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)

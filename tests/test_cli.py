@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 import videoanomaly
-from videoanomaly import read_scores_csv, write_frames_y8, write_pgm
+from videoanomaly import read_scores_csv, write_activations, write_frames_y8, write_pgm
 from videoanomaly.cli import main
+from videoanomaly.pipeline import CSV_HEADER
 from videoanomaly import synth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +99,25 @@ def test_run_optional_dumps(video, tmp_path):
     for (window, b, channel), accs in accuracies.items():
         assert len(accs) == k
         assert doc[window][channel][b] == float(np.mean(accs))
+    # rows run window-major: window, channel, bin, loop
+    keys = [tuple(row.split(",")[:4]) for row in rows]
+    assert keys == [
+        (str(j), str(b), "motion", str(loop))
+        for j in range(21) for b in range(4) for loop in range(k)
+    ]
+    # a second channel must not pull its rows ahead of later windows
+    clip, acts = tmp_path / "clip.y8", tmp_path / "clip.umk1"
+    write_frames_y8(synth.noise_video(30, seed=1), clip)
+    write_activations(synth.noise_activations(30, seed=1), acts)
+    fusion_prof = tmp_path / "fusion_profiles.csv"
+    rc = main(["run", "--frames", str(clip), "--activations", str(acts), "--k", "2",
+               "--out", str(tmp_path / "fusion.csv"), "--dump-profiles", str(fusion_prof)])
+    assert rc == 0
+    keys = [tuple(row.split(",")[:4]) for row in fusion_prof.read_text().splitlines()[1:]]
+    assert keys == [
+        (str(j), str(b), ch, str(loop))
+        for j in range(3) for ch in ("motion", "appearance") for b in range(4) for loop in range(2)
+    ]
 
 
 def test_run_config_file_and_flag_precedence(video, tmp_path):
@@ -169,6 +191,16 @@ def test_run_truncated_y8_exit_3(video, tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
 
 
+def test_run_zero_width_pgm_exit_3(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(25):
+        (frames / f"{i:03d}.pgm").write_bytes(b"P5\n0 4\n255\n")
+    rc = main(["run", "--frames", str(frames), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "FormatError" in capsys.readouterr().err
+
+
 def test_run_invalid_parameter_exit_2(video, tmp_path):
     rc, _ = _run(video, tmp_path, "--stride", "11")
     assert rc == 2
@@ -224,6 +256,73 @@ def test_eval_label_count_mismatch_exit_3(video, tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert "AlignmentError" in capsys.readouterr().err
+
+
+def _two_frame_scores(tmp_path, frames=("0", "1"), smoothed=("0.1", "0.2")):
+    """A two-row motion-less score CSV plus labels 0, 1 for ``eval``."""
+    scores = tmp_path / "scores.csv"
+    rows = "".join(f"{f},,,0.5,{v}\n" for f, v in zip(frames, smoothed))
+    scores.write_text(CSV_HEADER + "\n" + rows)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    return scores, labels
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_non_finite_score_exit_3(tmp_path, capsys, bad):
+    scores, labels = _two_frame_scores(tmp_path, smoothed=(bad, "0.2"))
+    rc = main(["eval", "--scores", str(scores), "--gt", str(labels),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "DataError" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_non_integer_frame_exit_3(tmp_path, capsys):
+    scores, labels = _two_frame_scores(tmp_path, frames=("0", "1.5"))
+    rc = main(["eval", "--scores", str(scores), "--gt", str(labels),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "FormatError" in capsys.readouterr().err
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _zip_bytes(members):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return buf.getvalue()
+
+
+BAD_MAPS = {
+    "npy-payload": _npy_bytes(np.zeros((2, 12, 16))),
+    "empty": b"",
+    "zip-magic-junk": b"PK\x03\x04junk",
+    "text": b"frame maps\n",
+    "member-without-npy-header": _zip_bytes({"fused.npy": b"junk"}),
+    "truncated-member": _zip_bytes({"fused.npy": _npy_bytes(np.zeros((2, 12, 16)))[:200]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MAPS))
+def test_eval_unreadable_maps_exit_3(tmp_path, capsys, kind):
+    scores, _ = _two_frame_scores(tmp_path)
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    write_pgm(masks / "0.pgm", np.zeros((12, 16), np.uint8))
+    write_pgm(masks / "1.pgm", np.full((12, 16), 255, np.uint8))
+    maps = tmp_path / "maps.npz"
+    maps.write_bytes(BAD_MAPS[kind])
+    rc = main(["eval", "--scores", str(scores), "--gt", str(masks), "--level", "pixel",
+               "--maps", str(maps), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("videoanomaly eval: error: ")
 
 
 def test_eval_pixel_level(video, tmp_path):

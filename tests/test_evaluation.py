@@ -12,7 +12,6 @@ from videoanomaly import (
     DetectionResult,
     DetectorConfig,
     GroundTruth,
-    WindowRecord,
     aggregate,
     cube_score_map,
     frame_auc,
@@ -172,17 +171,21 @@ def test_smooth_map_constant_and_zero_sigma():
 # ------------------------------------------------------------ score maps
 
 
-def _result_with(records, config, frame_count=20):
-    series = aggregate(records, frame_count, config)
-    return DetectionResult(series, config, frame_count, records, {})
+def _result_with(bin_scores, presence, config, frame_count=20):
+    """Result of one window at frame 0 with the given bin scores and presence."""
+    starts = np.array([0])
+    bin_scores = {ch: np.asarray([scores], float) for ch, scores in bin_scores.items()}
+    presence = None if presence is None else presence[None]
+    series = aggregate(starts, bin_scores, frame_count, config)
+    return DetectionResult(series, config, frame_count, starts, bin_scores, {}, presence, {})
 
 
 def test_cube_score_map_motion_needs_cube_presence():
     config = DetectorConfig()
     presence = np.zeros((12, 16), dtype=bool)
     presence[2, 3] = True  # a bin-0 cell
-    rec = WindowRecord(0, 0, {"motion": np.array([0.9, 0.3, 0.2, 0.1])}, {}, presence)
-    maps = cube_score_map(_result_with([rec], config), channel="motion")
+    result = _result_with({"motion": [0.9, 0.3, 0.2, 0.1]}, presence, config)
+    maps = cube_score_map(result, channel="motion")
     assert maps.shape == (20, 12, 16)
     for grid in maps:  # single window: every frame backfills to the same grid
         assert grid[2, 3] == 0.9
@@ -191,8 +194,8 @@ def test_cube_score_map_motion_needs_cube_presence():
 
 def test_cube_score_map_appearance_covers_whole_bin():
     config = DetectorConfig(channel="appearance", w=10)
-    rec = WindowRecord(0, 0, {"appearance": np.array([0.9, 0.3, 0.2, 0.1])}, {}, None)
-    maps = cube_score_map(_result_with([rec], config), channel="appearance")
+    result = _result_with({"appearance": [0.9, 0.3, 0.2, 0.1]}, None, config)
+    maps = cube_score_map(result, channel="appearance")
     grid = maps[0]
     assert np.all(grid[:6, :8] == 0.9)
     assert np.all(grid[:6, 8:] == 0.3)
@@ -226,11 +229,11 @@ def _cube_score_map_by_loop(result, channel):
     for ch in wanted:
         sums = np.zeros((t, 12, 16))
         counts = np.zeros(t)
-        for rec in result.windows:
-            cell_scores = rec.bin_scores[ch][bin_grids[ch]]
+        for j, start in enumerate(result.windows):
+            cell_scores = result.bin_scores[ch][j][bin_grids[ch]]
             if ch == "motion":
-                cell_scores = cell_scores * rec.presence
-            lo, hi = rec.start + w, min(rec.start + 2 * w, t)
+                cell_scores = cell_scores * result.presence[j]
+            lo, hi = start + w, min(start + 2 * w, t)
             sums[lo:hi] += cell_scores
             counts[lo:hi] += 1
         covered = np.flatnonzero(counts)
@@ -260,15 +263,9 @@ def test_cube_score_map_matches_loop_oracle():
 
 def test_cube_score_map_errors():
     config = DetectorConfig()
-    rec = WindowRecord(0, 0, {"motion": np.full(4, 0.5)}, {}, np.ones((12, 16), dtype=bool))
-    result = _result_with([rec], config)
-    with pytest.raises(CapabilityError):
-        cube_score_map(DetectionResult(result.series, config, 20, [], {}))
+    result = _result_with({"motion": np.full(4, 0.5)}, np.ones((12, 16), dtype=bool), config)
     with pytest.raises(CapabilityError):
         cube_score_map(result, channel="appearance")
-    recs_no_presence = [WindowRecord(0, 0, {"motion": np.full(4, 0.5)}, {}, None)]
-    with pytest.raises(CapabilityError):
-        cube_score_map(_result_with(recs_no_presence, config), channel="motion")
 
 
 def test_maps_npz_roundtrip(tmp_path):

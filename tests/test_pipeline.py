@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from videoanomaly import (
     Emission,
     FeatureStore,
     FormatError,
+    Frame,
     StreamingDetector,
     StreamTooShortError,
-    WindowRecord,
     aggregate,
     plan_windows,
     read_scores_csv,
@@ -23,11 +25,14 @@ from videoanomaly import (
     write_scores_csv,
 )
 from videoanomaly import synth
+from videoanomaly.features import WORK_H, WORK_W
 
 
-def _record(window_id, start, value, n_bins=1, channel="motion"):
-    scores = np.full(n_bins, value) if np.isscalar(value) else np.asarray(value, float)
-    return WindowRecord(window_id, start, {channel: scores}, {}, None)
+def _windows(starts, values, channel="motion"):
+    """(starts, bin_scores) for aggregate: one row of bin scores per window
+    start; a scalar value is a one-bin row."""
+    rows = [np.full(1, v) if np.isscalar(v) else np.asarray(v, float) for v in values]
+    return np.asarray(starts), {channel: np.stack(rows)}
 
 
 # ----------------------------------------------------------------- planning
@@ -116,8 +121,6 @@ def test_store_rejects_out_of_order_and_missing_inputs():
 def test_store_resizes_odd_input():
     store = FeatureStore(DetectorConfig())
     rng = np.random.default_rng(2)
-    from videoanomaly import Frame
-
     for i in range(5):
         store.add(Frame(i, 320, 240, rng.random((240, 320))), None)
     vectors, keep = store.slot(0)
@@ -130,8 +133,7 @@ def test_store_resizes_odd_input():
 
 def test_aggregate_means_covering_windows():
     config = DetectorConfig(bins=BinLayout(1, 1))
-    records = [_record(0, 0, 0.4), _record(1, 5, 0.6)]
-    series = aggregate(records, 25, config)
+    series = aggregate(*_windows([0, 5], [0.4, 0.6]), 25, config)
     motion = series.per_channel["motion"]
     assert np.allclose(motion[10:15], 0.4)  # window 0 only
     assert np.allclose(motion[15:20], 0.5)  # both windows cover these
@@ -141,7 +143,7 @@ def test_aggregate_means_covering_windows():
 
 def test_aggregate_takes_max_over_bins():
     config = DetectorConfig(bins=BinLayout(1, 2))
-    series = aggregate([_record(0, 0, [0.3, 0.9], n_bins=2)], 20, config)
+    series = aggregate(*_windows([0], [[0.3, 0.9]]), 20, config)
     assert np.allclose(series.per_channel["motion"][10:], 0.9)
     assert np.allclose(series.per_bin["motion"][10:, 0], 0.3)
 
@@ -149,8 +151,7 @@ def test_aggregate_takes_max_over_bins():
 def test_aggregate_backfill_tie_prefers_earlier():
     config = DetectorConfig(bins=BinLayout(1, 1), smooth_sigma=0.0)
     # second halves cover [10,20) and [29,39); frame 24 ties and goes left
-    records = [_record(0, 0, 0.2), _record(1, 19, 0.8)]
-    series = aggregate(records, 39, config)
+    series = aggregate(*_windows([0, 19], [0.2, 0.8]), 39, config)
     motion = series.per_channel["motion"]
     assert motion[24] == 0.2
     assert motion[25] == 0.8
@@ -158,7 +159,7 @@ def test_aggregate_backfill_tie_prefers_earlier():
 
 def test_aggregate_single_channel_fuses_to_itself():
     config = DetectorConfig(bins=BinLayout(1, 1))
-    series = aggregate([_record(0, 0, 0.7)], 20, config)
+    series = aggregate(*_windows([0], [0.7]), 20, config)
     assert np.array_equal(series.fused, series.per_channel["motion"])
 
 
@@ -308,18 +309,19 @@ def _fill_nearest(values, covered):
     return values[np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)]
 
 
-def _emit_by_prefix(records, config, emitted, horizon):
+def _emit_by_prefix(starts, bin_scores, config, emitted, horizon):
     """Oracle for streaming emission: recompute the whole finalized prefix
-    [0, horizon) from every closed window, smooth all of it, and emit the
-    frames from ``emitted`` on."""
+    [0, horizon) from every closed window (start frames ``starts``, bin
+    score rows ``bin_scores[ch]``), smooth all of it, and emit the frames
+    from ``emitted`` on."""
     channels = config.enabled_channels
     counts = np.zeros(horizon)
     sums = {ch: np.zeros((horizon, config.n_bins(ch))) for ch in channels}
-    for rec in records:
-        lo, hi = rec.start + config.w, min(rec.start + 2 * config.w, horizon)
+    for j, start in enumerate(starts):
+        lo, hi = start + config.w, min(start + 2 * config.w, horizon)
         counts[lo:hi] += 1
         for ch in channels:
-            sums[ch][lo:hi] += rec.bin_scores[ch]
+            sums[ch][lo:hi] += bin_scores[ch][j]
     covered = counts > 0
     per_channel = {}
     for ch in channels:
@@ -370,15 +372,47 @@ def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count
         config = DetectorConfig(w=w, stride=stride, k=2, smooth_sigma=sigma, channel=channel)
         det = StreamingDetector(config)
         emitted = 0
+        checks = []  # (windows closed so far, first frame, emissions)
         for f, a in zip(frames, acts):
             out = det.push(f, a)
             if out:
-                horizon = out[-1].frame + 1
-                assert _bits(out) == _bits(_emit_by_prefix(det.records, config, emitted, horizon))
-                emitted = horizon
-        tail, _ = det.finalize()
+                checks.append(((f.index + 1 - 2 * w) // stride + 1, emitted, out))
+                emitted = out[-1].frame + 1
+        tail, result = det.finalize()
         assert tail and emitted + len(tail) == frame_count
-        assert _bits(tail) == _bits(_emit_by_prefix(det.records, config, emitted, frame_count))
+        windows = len(plan_windows(frame_count, w, stride))
+        checks.append((windows, emitted, tail))
+        # a closed window's row never changes, so the finalized arrays cut
+        # to the windows closed at each push are what that push read
+        for closed, first, out in checks:
+            rows = {ch: scores[:closed] for ch, scores in result.bin_scores.items()}
+            horizon = out[-1].frame + 1
+            expected = _emit_by_prefix(result.windows[:closed], rows, config, first, horizon)
+            assert _bits(out) == _bits(expected)
+        assert np.array_equal(result.windows, np.arange(windows) * stride)
+        assert (result.presence is None) == (channel == "appearance")
+        for ch in config.enabled_channels:
+            accuracies = result.accuracies[ch]
+            assert accuracies.shape == (windows, config.n_bins(ch), config.k)
+            means = [[float(np.mean(acc)) for acc in row] for row in accuracies]
+            assert result.bin_scores[ch].tolist() == means  # bit for bit
+
+
+def test_detector_memory_growth_per_frame():
+    """A detector keeps a few hundred bytes per pushed frame: one row of bin
+    scores, accuracy profiles and cube presence per closed window."""
+    pixels = np.random.default_rng(0).random((WORK_H, WORK_W))  # a static scene
+    det = StreamingDetector()
+    tracemalloc.start()
+    try:
+        for i in range(3000):
+            det.push(Frame(i, WORK_W, WORK_H, pixels))
+            if i + 1 == 1000:
+                at_1k = tracemalloc.get_traced_memory()[0]
+        growth = tracemalloc.get_traced_memory()[0] - at_1k
+    finally:
+        tracemalloc.stop()
+    assert growth / 2000 <= 250
 
 
 def test_streaming_emission_is_prompt():
