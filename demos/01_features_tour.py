@@ -3,7 +3,8 @@
 Motion: each 5-frame stack of the 160x120 working image is cut into a
 16x12 grid of 10x10 patches; a patch's spatio-temporal cube is described
 by its per-voxel 3D gradient magnitudes (500 values, L2-normalized).
-Cells whose temporal gradient never leaves zero are static and dropped.
+Cells whose temporal gradient never leaves zero are static: the gate
+reads only that gradient, and a static cell gets no descriptor row.
 
 Appearance: a 256x13x13 activation tensor is read through four
 overlapping 7x7 windows (they share the center row and column), each
@@ -19,12 +20,12 @@ rng = np.random.default_rng(0)
 
 print("== motion cubes ==")
 stack = rng.random((5, 120, 160))  # five 160x120 frames
-vectors, keep = cube_grid(stack)
+rows, keep = cube_grid(stack)  # one descriptor row per moving cell
 print(f"dense noise: {int(keep.sum())} cubes (16x12 grid, all cells moving)")
 bins = BinLayout().patch_bin_grid()  # (12, 16) bin id per cell
 per_bin = np.bincount(bins[keep], minlength=4)
 print(f"per 2x2 bin: {per_bin.tolist()} (each bin spans 8x6 cells)")
-norms = np.linalg.norm(vectors[keep], axis=1)
+norms = np.linalg.norm(rows, axis=1)
 print(f"descriptor norms: min {norms.min():.12f}, max {norms.max():.12f}")
 
 # freeze one cell over time; spatial texture alone is not motion

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import AlignmentError, CapabilityError, DataError, FormatError
 from .features import APP_LAYOUT, GRID_H, GRID_W
@@ -130,18 +129,28 @@ _DEN_CACHE: dict = {}
 
 
 def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
-    """2D Gaussian smoothing, truncated and renormalized at image borders."""
+    """2D Gaussian smoothing, truncated and renormalized at image borders.
+
+    The vertical pass runs once per run of bitwise-identical adjacent
+    columns (an upsampled grid has one run per patch column) and is then
+    repeated across the run: the pass treats each column on its own, so
+    the result is bit-identical to convolving every column.
+    """
     if sigma_px < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_px}")
     if sigma_px == 0:
         return pixels.astype(np.float64, copy=True)
+    # imported here: a detection run that never smooths a map does not
+    # pay the memory of loading scipy.ndimage
+    from scipy.ndimage import convolve1d
+
     taps = _gaussian_taps(sigma_px)
-    num = convolve1d(
-        convolve1d(pixels.astype(np.float64), taps, axis=0, mode="constant"),
-        taps,
-        axis=1,
-        mode="constant",
-    )
+    pixels = pixels.astype(np.float64)
+    bits = pixels.view(np.uint64)
+    firsts = np.flatnonzero(np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)])
+    runs = np.diff(np.r_[firsts, pixels.shape[1]])
+    cols = convolve1d(pixels[:, firsts], taps, axis=0, mode="constant")
+    num = convolve1d(np.repeat(cols, runs, axis=1), taps, axis=1, mode="constant")
     key = (pixels.shape, float(sigma_px))
     den = _DEN_CACHE.get(key)
     if den is None:

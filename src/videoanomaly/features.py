@@ -7,9 +7,12 @@ Motion: frames at the 160x120 working resolution are partitioned into
 non-overlapping 10x10 patches (a 16x12 grid). Five consecutive frames
 stacked at one grid cell form a 10x10x5 spatio-temporal cube, summarized
 by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). cube_grid
-describes all 192 cells of one stack at once: a (12, 16, 500) array of
-L2-normalized descriptors and a (12, 16) mask of the non-static cells.
-A BinLayout (2x2 quadrants by default) maps each cell to a spatial bin.
+reads one stack static-first: it gates all 192 cells on the temporal
+gradient alone, then describes only the moving ones. It returns their
+L2-normalized descriptors as the rows of a (keep.sum(), 500) array, in
+row-major cell order, and the (12, 16) mask of the non-static cells; a
+static cell has no row. A BinLayout (2x2 quadrants by default) maps each
+cell to a spatial bin.
 
 Appearance: a 256x13x13 activation tensor per frame is cut into four 7x7
 windows that share the center row/column, each flattened channel-major to
@@ -94,16 +97,16 @@ class BinLayout:
 # Motion cubes
 # ---------------------------------------------------------------------------
 
-def _gradient_magnitude(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-voxel 3D gradient magnitude for (..., t, y, x) blocks.
+def _gradient_magnitude(blocks: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-voxel 3D gradient magnitude of (..., t, y, x) blocks, given
+    their temporal gradient ``gt``.
 
     Central differences in the interior, one-sided at block borders (each
-    block's own extent, never across blocks). Returns (magnitude, gt).
+    block's own extent, never across blocks).
     """
-    gt = np.gradient(blocks, axis=-3)
     gy = np.gradient(blocks, axis=-2)
     gx = np.gradient(blocks, axis=-1)
-    return np.sqrt(gx * gx + gy * gy + gt * gt), gt
+    return np.sqrt(gx * gx + gy * gy + gt * gt)
 
 
 def gradient_feature(voxels: np.ndarray) -> np.ndarray:
@@ -115,30 +118,44 @@ def gradient_feature(voxels: np.ndarray) -> np.ndarray:
     voxels = np.asarray(voxels, dtype=np.float64)
     if voxels.shape != (PATCH, PATCH, STACK):
         raise ValueError(f"expected a {PATCH}x{PATCH}x{STACK} block, got {voxels.shape}")
-    mag, _ = _gradient_magnitude(voxels.transpose(2, 0, 1))
-    return mag.ravel()
+    block = voxels.transpose(2, 0, 1)
+    return _gradient_magnitude(block, np.gradient(block, axis=0)).ravel()
+
+
+def _cells(volume: np.ndarray) -> np.ndarray:
+    """(12, 16, 5, 10, 10) view of a (5, 120, 160) volume, one block per cell."""
+    return volume.reshape(STACK, GRID_H, PATCH, GRID_W, PATCH).transpose(1, 3, 0, 2, 4)
 
 
 def cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 16x12 cube descriptors of one 5-frame stack at once.
+    """Descriptors of the moving cells of one 5-frame stack.
 
-    ``stack`` is (5, 120, 160). Returns (vectors, keep) where vectors is
-    (12, 16, 500) with each nonzero cell L2-normalized, and keep is a
-    (12, 16) bool mask of non-static cells. Per cell, the magnitudes are
-    bit-identical to gradient_feature on the corresponding block, and the
-    norm is taken row-wise (``np.linalg.norm(f[None], axis=-1)``).
+    ``stack`` is (5, 120, 160). Returns (rows, keep): keep is the (12, 16)
+    bool mask of non-static cells, and rows is (keep.sum(), 500), one
+    L2-normalized descriptor per kept cell in row-major cell order, so
+    ``rows[mask[keep]]`` selects the cells of any (12, 16) ``mask``. The
+    temporal gradient, the only input of the static gate, is taken once
+    on the whole stack; the spatial gradients only on the kept cells. Per
+    cell, the magnitudes are bit-identical to gradient_feature on the
+    corresponding block, and the norm is taken row-wise
+    (``np.linalg.norm(f[None], axis=-1)``).
     """
     if np.shape(stack) != (STACK, WORK_H, WORK_W):
         raise ValueError(
             f"expected a ({STACK}, {WORK_H}, {WORK_W}) frame stack, got {np.shape(stack)}"
         )
-    blocks = stack.reshape(STACK, GRID_H, PATCH, GRID_W, PATCH).transpose(1, 3, 0, 2, 4)
-    mag, gt = _gradient_magnitude(blocks)
-    keep = np.abs(gt).max(axis=(2, 3, 4)) >= STATIC_EPS
-    vectors = mag.reshape(GRID_H, GRID_W, CUBE_DIM)
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    np.divide(vectors, norms, out=vectors, where=norms > 0)
-    return vectors, keep
+    gt = np.gradient(stack, axis=0)
+    np.abs(gt, out=gt)  # the gate reads |d/dt|, the magnitude only its square
+    # peak |d/dt| per pixel, then over each cell's rows and columns
+    peak = gt.max(axis=0).reshape(GRID_H, PATCH, WORK_W).max(axis=1)
+    keep = peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
+    blocks, gtb = _cells(stack), _cells(gt)
+    if not keep.all():  # gathering every cell would only copy the views
+        blocks, gtb = blocks[keep], gtb[keep]
+    rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    np.divide(rows, norms, out=rows, where=norms > 0)
+    return rows, keep
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,10 @@ class FeatureStore:
     """Per-frame feature caches of the streaming detector.
 
     Holds resized frames, per-slot motion cube grids (keyed by the slot's
-    first frame) and per-frame appearance vectors. evict_below() drops
-    everything no window at or after the given frame can need, which
-    bounds memory to roughly one window span.
+    first frame; a static cell stores no descriptor) and per-frame
+    appearance vectors. evict_below() drops everything no window at or
+    after the given frame can need, which bounds memory to roughly one
+    window span.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -176,8 +177,8 @@ class FeatureStore:
     def slot(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Cube grid of the 5-frame stack starting at ``start``.
 
-        Returns (vectors (12,16,500) with survivors L2-normalized,
-        keep (12,16) bool of non-static cells).
+        Returns cube_grid's (rows, keep): one L2-normalized row per
+        non-static cell, in row-major cell order, and the (12,16) mask.
         """
         cached = self._slots.get(start)
         if cached is not None:
@@ -226,10 +227,10 @@ def window_batch(
         xs, ys = [], []
         mask = store.bin_cell_mask(bin)
         for slot_start in range(start, end, STACK):
-            vectors, keep = store.slot(slot_start)
-            cell = keep & mask
+            rows, keep = store.slot(slot_start)
+            cell = mask[keep]
             if cell.any():
-                xs.append(vectors[cell])
+                xs.append(rows[cell])
                 ys.append(
                     np.full(int(cell.sum()), 0 if slot_start - start < w else 1, np.uint8)
                 )
@@ -494,6 +495,13 @@ class StreamingDetector:
         bin_scores = {ch: np.stack(rows) for ch, rows in self._bin_scores.items()}
         accuracies = {ch: np.stack(rows) for ch, rows in self._accuracies.items()}
         presence = np.stack(self._presence) if self._presence else None
+        # free what the ended stream no longer needs before aggregate()
+        # allocates the whole series: cached frames and features, and the
+        # per-window rows now stacked
+        self.store.evict_below(frame_count)
+        self._bin_scores.clear()
+        self._accuracies.clear()
+        self._presence.clear()
         series = aggregate(windows, bin_scores, frame_count, self.config)
         self.predict_seconds += time.perf_counter() - t0
         result = DetectionResult(

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videoanomaly import DetectorConfig, StreamingDetector, synth
+from videoanomaly import DetectorConfig, Frame, StreamingDetector, synth
+from videoanomaly.features import STATIC_EPS
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -59,3 +60,28 @@ def test_traced_run_feeds_every_observer(tracer):
         owner, attr = tracer.resolve(module, path)
         assert not hasattr(vars(owner)[attr], "__wrapped__")
     assert np.isfinite(tr.self_times()).all()
+
+
+def test_traced_static_drop_matches_oracle(tracer):
+    """The slot observer counts static cells from cube_grid's mask; on a
+    mostly static stream its count equals the per-block static rule."""
+    rng = np.random.default_rng(5)
+    pixels = np.repeat(rng.random((1, 120, 160)), 30, axis=0)
+    for t in range(8, 22):  # a sprite crossing a few cells
+        pixels[t, 40:55, 20 + 4 * t : 35 + 4 * t] = 0.8
+    det = StreamingDetector(DetectorConfig(k=2))
+    with tracer.Tracer() as tr:
+        for t in range(30):
+            det.push(Frame(t, 160, 120, pixels[t]))
+        det.finalize()
+    static = 0
+    for start in range(0, 30, 5):
+        stack = pixels[start : start + 5]
+        for gy in range(12):
+            for gx in range(16):
+                block = stack[:, gy * 10 : (gy + 1) * 10, gx * 10 : (gx + 1) * 10]
+                static += np.abs(np.gradient(block, axis=0)).max() < STATIC_EPS
+    assert tr.slot_starts == set(range(0, 30, 5))
+    assert tr.counts["slot_cells"] == 6 * 192
+    assert tr.counts["slot_cells_static"] == static
+    assert 0.9 < static / (6 * 192) < 1

@@ -160,6 +160,32 @@ def test_smooth_map_matches_dense_reference():
     assert np.allclose(smooth_map(pixels, sigma), ref, atol=1e-12)
 
 
+def _smooth_map_full(pixels, sigma):
+    """Oracle for smooth_map: both 1D passes over every pixel."""
+    import math
+
+    from scipy.ndimage import convolve1d
+
+    offsets = np.arange(-math.ceil(3 * sigma), math.ceil(3 * sigma) + 1, dtype=np.float64)
+    taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+
+    def blur(a):
+        return convolve1d(convolve1d(a, taps, axis=0, mode="constant"), taps, axis=1, mode="constant")
+
+    return blur(pixels.astype(np.float64)) / blur(np.ones(pixels.shape))
+
+
+@pytest.mark.parametrize("shape", [(120, 160), (360, 640), (90, 130)])
+def test_smooth_map_is_bit_identical_to_full_convolution(shape):
+    rng = np.random.default_rng(shape[1])
+    grid = rng.random((12, 16))
+    grid[:, 5:9] = 0.0  # equal neighboring cells merge column runs
+    grid[0] = 0.5  # columns equal in some rows only stay apart
+    for pixels in (grid_to_pixels(grid, *shape), rng.random(shape)):
+        for sigma in (10.0, 2.5):
+            assert np.array_equal(smooth_map(pixels, sigma), _smooth_map_full(pixels, sigma))
+
+
 def test_smooth_map_constant_and_zero_sigma():
     pixels = np.full((10, 12), 0.6)
     assert np.allclose(smooth_map(pixels, 10.0), pixels, atol=1e-12)
@@ -248,6 +274,11 @@ def _cube_score_map_by_loop(result, channel):
 
 def test_cube_score_map_matches_loop_oracle():
     frames, _, _ = synth.block_event_video(frame_count=64, active_range=(30, 50), speed=2.0)
+    # frozen regions leave static cells in some windows, moving ones in others
+    for f in frames[1:30]:
+        f.pixels[60:100, 0:40] = frames[0].pixels[60:100, 0:40]
+    for f in frames[41:]:
+        f.pixels[0:30, 100:160] = frames[40].pixels[0:30, 100:160]
     noise = synth.noise_activations(64, seed=3)
     twin = synth.repeating_activations(64, seed=4)
     acts = [n if (n.index // 11) % 2 else r for n, r in zip(noise, twin)]
@@ -259,6 +290,7 @@ def test_cube_score_map_matches_loop_oracle():
         expected = _cube_score_map_by_loop(result, channel)
         assert np.array_equal(grids, expected), channel
         assert len(np.unique(grids)) > 5  # scores vary across cells and frames
+    assert 0 < result.presence.mean() < 1
 
 
 def test_cube_score_map_errors():

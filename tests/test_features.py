@@ -20,7 +20,7 @@ def _noise_frames(count, seed=0, height=120, width=160):
 
 
 def _cubes(frames):
-    """(vectors, keep) of the cube grid over a 5-frame list."""
+    """(rows, keep) of the cube grid over a 5-frame list."""
     return cube_grid(np.stack([f.pixels for f in frames]))
 
 
@@ -68,12 +68,12 @@ def test_gradient_feature_rejects_wrong_shape():
 
 
 def test_dense_noise_yields_full_cube_budget():
-    vectors, keep = _cubes(_noise_frames(5))
-    assert vectors.shape == (12, 16, 500)
+    rows, keep = _cubes(_noise_frames(5))
+    assert rows.shape == (192, 500)
     assert keep.sum() == 192
     per_bin = np.bincount(BinLayout().patch_bin_grid()[keep], minlength=4)
     assert np.array_equal(per_bin, [48, 48, 48, 48])
-    norms = np.linalg.norm(vectors[keep], axis=1)
+    norms = np.linalg.norm(rows, axis=1)
     assert np.allclose(norms, 1.0, rtol=0, atol=1e-9)
 
 
@@ -81,8 +81,9 @@ def test_static_video_yields_no_cubes():
     rng = np.random.default_rng(1)
     img = rng.random((120, 160))
     frames = [Frame(i, 160, 120, img) for i in range(5)]
-    _, keep = _cubes(frames)
+    rows, keep = _cubes(frames)
     assert not keep.any()
+    assert rows.shape == (0, 500)
 
 
 def test_static_gate_is_per_cell():
@@ -90,8 +91,8 @@ def test_static_gate_is_per_cell():
     # freeze one cell over time: spatial texture alone must not keep it
     for f in frames[1:]:
         f.pixels[30:40, 50:60] = frames[0].pixels[30:40, 50:60]
-    _, keep = _cubes(frames)
-    assert keep.sum() == 191
+    rows, keep = _cubes(frames)
+    assert keep.sum() == 191 and len(rows) == 191
     assert not keep[3, 5]
 
 
@@ -102,7 +103,7 @@ def test_locality_single_patch_changes_single_cube():
     before, keep_a = _cubes(frames_a)
     after, keep_b = _cubes(frames_b)
     assert np.array_equal(keep_a, keep_b)
-    changed = np.argwhere((before != after).any(axis=-1) & keep_a)
+    changed = np.argwhere(keep_a)[(before != after).any(axis=-1)]
     assert changed.tolist() == [[8, 12]]  # (grid_y, grid_x)
 
 
@@ -113,9 +114,9 @@ def test_descriptor_is_position_invariant():
     stack = np.zeros((5, 120, 160))
     stack[:, 20:30, 10:20] = patch
     stack[:, 70:80, 110:120] = patch
-    vectors, keep = cube_grid(stack)
-    assert keep[2, 1] and keep[7, 11]
-    assert np.array_equal(vectors[2, 1], vectors[7, 11])
+    rows, keep = cube_grid(stack)
+    assert np.argwhere(keep).tolist() == [[2, 1], [7, 11]]
+    assert np.array_equal(rows[0], rows[1])
 
 
 def test_descriptor_is_scale_invariant_after_normalization():
@@ -124,7 +125,7 @@ def test_descriptor_is_scale_invariant_after_normalization():
     a, keep_a = _cubes(frames)
     b, keep_b = _cubes(doubled)
     assert np.array_equal(keep_a, keep_b)
-    assert np.allclose(a[keep_a], b[keep_b], atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_barely_static_cell_is_gated():
@@ -160,18 +161,47 @@ def _cubes_by_block(stack):
     return vectors, keep
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_cube_grid_matches_per_block_oracle(seed):
-    rng = np.random.default_rng(seed)
-    stack = rng.random((5, 120, 160))
-    gy, gx = rng.integers(0, 12), rng.integers(0, 16)
-    cell = (slice(gy * 10, (gy + 1) * 10), slice(gx * 10, (gx + 1) * 10))
-    stack[(slice(None), *cell)] = stack[(0, *cell)]  # freeze one cell over time
-    vectors, keep = cube_grid(stack)
+def _cell(gy, gx):
+    return slice(gy * 10, (gy + 1) * 10), slice(gx * 10, (gx + 1) * 10)
+
+
+def _oracle_stack(case):
+    """A (5, 120, 160) stack for the oracle test, by name or noise seed."""
+    rng = np.random.default_rng(case if isinstance(case, int) else 11)
+    if isinstance(case, int):  # noise with one cell frozen over time
+        stack = rng.random((5, 120, 160))
+        cell = _cell(rng.integers(0, 12), rng.integers(0, 16))
+        stack[(slice(None), *cell)] = stack[(0, *cell)]
+        return stack
+    stack = np.repeat(rng.random((1, 120, 160)), 5, axis=0)  # textured, static
+    if case == "sprite":  # a 14x14 square moving 3 px right per frame
+        for t in range(5):
+            stack[t, 43:57, 61 + 3 * t : 75 + 3 * t] = 0.9
+    elif case == "single_cell":
+        stack[(slice(None), *_cell(4, 9))] = rng.random((5, 10, 10))
+    elif case in ("at_eps", "below_eps"):
+        # the step at t=1 is the largest |d/dt| of the cell: exactly
+        # STATIC_EPS (kept) or the next float below it (static)
+        step = STATIC_EPS if case == "at_eps" else np.nextafter(STATIC_EPS, 0.0)
+        cell = _cell(6, 2)
+        stack[(0, *cell)] = 0.0
+        stack[(slice(1, None), *cell)] = step
+    return stack
+
+
+ORACLE_CASES = [*range(10), "all_static", "sprite", "single_cell", "at_eps", "below_eps"]
+ORACLE_KEPT = {"all_static": 0, "sprite": 6, "single_cell": 1, "at_eps": 1, "below_eps": 0}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cube_grid_matches_per_block_oracle(case):
+    stack = _oracle_stack(case)
+    rows, keep = cube_grid(stack)
     expected_vectors, expected_keep = _cubes_by_block(stack)
     assert np.array_equal(keep, expected_keep)
-    assert not keep[gy, gx] and keep.sum() == 191
-    assert np.array_equal(vectors, expected_vectors)
+    assert rows.shape == (int(keep.sum()), 500)
+    assert np.array_equal(rows, expected_vectors[keep])
+    assert keep.sum() == ORACLE_KEPT.get(case, 191)
 
 
 # --------------------------------------------------------------- bin layout

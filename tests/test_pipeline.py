@@ -25,7 +25,7 @@ from videoanomaly import (
     write_scores_csv,
 )
 from videoanomaly import synth
-from videoanomaly.features import WORK_H, WORK_W
+from videoanomaly.features import STATIC_EPS, WORK_H, WORK_W, gradient_feature
 
 
 def _windows(starts, values, channel="motion"):
@@ -123,9 +123,50 @@ def test_store_resizes_odd_input():
     rng = np.random.default_rng(2)
     for i in range(5):
         store.add(Frame(i, 320, 240, rng.random((240, 320))), None)
-    vectors, keep = store.slot(0)
-    assert vectors.shape == (12, 16, 500)
+    rows, keep = store.slot(0)
     assert keep.any()
+    assert rows.shape == (int(keep.sum()), 500)
+
+
+def test_store_keeps_no_rows_for_static_slots():
+    store = FeatureStore(DetectorConfig())
+    img = np.random.default_rng(3).random((WORK_H, WORK_W))
+    for i in range(20):
+        store.add(Frame(i, WORK_W, WORK_H, img), None)
+    for start in range(0, 20, 5):
+        rows, keep = store.slot(start)
+        assert not keep.any()
+        assert rows.shape == (0, 500)
+    assert window_batch((0, 20), 0, "motion", store).x.shape == (0, 500)
+
+
+def test_window_batch_motion_selects_kept_cells_of_its_bin():
+    """A sprite moving over a static background in bin 1 (top-right):
+    bin 1's examples are the per-block descriptors of its moving cells,
+    slot by slot in row-major cell order; the other bins get none."""
+    rng = np.random.default_rng(4)
+    pixels = np.repeat(rng.random((1, WORK_H, WORK_W)), 20, axis=0)
+    for t in range(20):
+        pixels[t, 12:24, 85 + 2 * t : 97 + 2 * t] = 0.9
+    store = FeatureStore(DetectorConfig())
+    for i in range(20):
+        store.add(Frame(i, WORK_W, WORK_H, pixels[i]), None)
+    expected, labels = [], []
+    for slot in range(0, 20, 5):
+        stack = pixels[slot : slot + 5]
+        for gy in range(6):
+            for gx in range(8, 16):
+                block = stack[:, gy * 10 : (gy + 1) * 10, gx * 10 : (gx + 1) * 10]
+                if np.abs(np.gradient(block, axis=0)).max() >= STATIC_EPS:
+                    f = gradient_feature(block.transpose(1, 2, 0))
+                    expected.append(f / np.linalg.norm(f[None], axis=-1))
+                    labels.append(int(slot >= 10))
+    batch = window_batch((0, 20), 1, "motion", store)
+    assert len(expected) > 4
+    assert np.array_equal(batch.x, np.stack(expected))
+    assert batch.y.tolist() == labels
+    for b in (0, 2, 3):
+        assert window_batch((0, 20), b, "motion", store).x.shape == (0, 500)
 
 
 # -------------------------------------------------------------- aggregation
