@@ -109,15 +109,21 @@ def _build_config(args, default_channel: str | None = None) -> DetectorConfig:
     return DetectorConfig(**values)
 
 
+def _hash_file(h, path: Path) -> None:
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):  # 1 MiB at a time
+            h.update(chunk)
+
+
 def _digest(path: Path) -> str:
     """sha256 of a file, or of a directory's files in name order."""
     h = hashlib.sha256()
     if path.is_dir():
         for child in sorted(p for p in path.iterdir() if p.is_file()):
             h.update(child.name.encode())
-            h.update(child.read_bytes())
+            _hash_file(h, child)
     else:
-        h.update(path.read_bytes())
+        _hash_file(h, path)
     return h.hexdigest()
 
 

@@ -16,14 +16,21 @@ Three on-disk formats are understood:
   to the network's input size and mean-image subtraction) before running
   the network.
 
-All loaders return plain in-memory containers with float pixel data in
-``[0, 1]`` (frames) or float32 (activations). They are pure functions over
-immutable inputs and are safe to call concurrently.
+The loaders validate up front what is cheap to check (headers against
+file sizes, each PGM's header and payload length, the non-finite scan of
+an activation file, mask names and counts) and then return a read-only
+sequence that reads and decodes one item per access: a frame with float
+pixel data in ``[0, 1]``, an activation frame of float32 values, or a
+boolean mask. Walking one holds a single decoded item, so memory does not
+grow with the clip. A file that shrinks after validation raises
+TruncationError when the missing item is read. The loaders are pure
+functions over immutable inputs and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +92,7 @@ class GroundTruth:
     """Per-frame binary anomaly labels, optionally with per-pixel masks."""
 
     frame_labels: np.ndarray
-    pixel_masks: list[np.ndarray] | None = field(default=None)
+    pixel_masks: Sequence[np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
         self.frame_labels = np.asarray(self.frame_labels, dtype=np.uint8)
@@ -97,6 +104,44 @@ class GroundTruth:
                 derived, self.frame_labels
             ):
                 raise ValueError("frame labels inconsistent with pixel masks")
+
+
+class _Decoded(Sequence):
+    """Read-only sequence that decodes item ``i`` on every access.
+
+    ``decode`` maps a position in ``indices`` to one item. Nothing is
+    cached, so an item lives only as long as its caller keeps it.
+    """
+
+    def __init__(self, decode, indices: range):
+        self._decode = decode
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Decoded(self._decode, self._indices[i])
+        return self._decode(self._indices[i])
+
+
+def _read_exact(fh, size: int, path) -> bytes:
+    """The next ``size`` bytes of ``fh``; TruncationError if the file ends first."""
+    offset = fh.tell()
+    data = fh.read(size)
+    if len(data) < size:
+        raise TruncationError(
+            f"{path}: needs {size} bytes from byte {offset}, file ends at byte "
+            f"{offset + len(data)}"
+        )
+    return data
+
+
+def _read_at(path, offset: int, size: int) -> bytes:
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        return _read_exact(fh, size, path)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +174,11 @@ def _pnm_tokens(data: bytes, count: int, path) -> tuple[list[bytes], int]:
     return tokens, i + 1  # consume the single whitespace after maxval
 
 
-def read_pnm(path) -> np.ndarray:
-    """Decode a binary P5/P6 file to a grayscale uint8 array (height, width)."""
-    path = Path(path)
-    data = path.read_bytes()
+def _parse_pnm(data: bytes, path) -> tuple[int, int, bool, int]:
+    """(width, height, color, payload offset) of a binary P5/P6 file.
+
+    Checks the magic, the header fields and that the payload is complete.
+    """
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
         raise FormatError(f"{path}: not a binary PGM/PPM file (bad magic at byte 0)")
     color = data[:2] == b"P6"
@@ -145,20 +191,25 @@ def read_pnm(path) -> np.ndarray:
         raise FormatError(f"{path}: non-positive dimensions in PNM header")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
-    per_px = 3 if color else 1
-    need = width * height * per_px
-    body = data[offset : offset + need]
-    if len(body) < need:
+    need = width * height * (3 if color else 1)
+    if len(data) - offset < need:
         raise TruncationError(
-            f"{path}: payload needs {need} bytes, file ends at byte "
-            f"{offset + len(body)}"
+            f"{path}: payload needs {need} bytes, file ends at byte {len(data)}"
         )
-    raw = np.frombuffer(body, dtype=np.uint8)
+    return width, height, color, offset
+
+
+def read_pnm(path) -> np.ndarray:
+    """Decode a binary P5/P6 file to a grayscale uint8 array (height, width)."""
+    path = Path(path)
+    data = path.read_bytes()
+    width, height, color, offset = _parse_pnm(data, path)
     if color:
+        raw = np.frombuffer(data, np.uint8, width * height * 3, offset)
         rgb = raw.reshape(height, width, 3).astype(np.float64)
         gray = rgb @ _LUMA_WEIGHTS
         return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
-    return raw.reshape(height, width)
+    return np.frombuffer(data, np.uint8, width * height, offset).reshape(height, width)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -205,13 +256,13 @@ def _check_sequence_order(names: list[str], source) -> None:
             )
 
 
-def load_frames(source, format: str = "pgm-sequence") -> list[Frame]:
-    """Load a frame sequence from disk.
+def load_frames(source, format: str = "pgm-sequence") -> Sequence[Frame]:
+    """Validate a frame sequence on disk and return it as a lazy sequence.
 
     ``format`` is ``"pgm-sequence"`` (a directory of P5/P6 files) or
-    ``"raw-y8"`` (a packed byte file with a ``.hdr`` sidecar). Intensities
-    are mapped to [0, 1] by dividing by 255. Frames are returned with
-    0-based positional indices in increasing order.
+    ``"raw-y8"`` (a packed byte file with a ``.hdr`` sidecar). Each access
+    reads and decodes one frame, mapping intensities to [0, 1] by dividing
+    by 255. Frames carry 0-based positional indices in increasing order.
     """
     source = Path(source)
     if format == "pgm-sequence":
@@ -221,14 +272,17 @@ def load_frames(source, format: str = "pgm-sequence") -> list[Frame]:
     raise ValueError(f"unknown frame format {format!r}")
 
 
-def _load_pgm_sequence(source: Path) -> list[Frame]:
+def _load_pgm_sequence(source: Path) -> Sequence[Frame]:
     names = _pnm_sequence(source, "PGM files", ".pgm/.ppm files")
-    frames = []
-    for idx, name in enumerate(names):
-        gray = read_pnm(source / name)
+    for name in names:
+        _parse_pnm((source / name).read_bytes(), source / name)
+
+    def decode(idx: int) -> Frame:
+        gray = read_pnm(source / names[idx])
         h, w = gray.shape
-        frames.append(Frame(idx, w, h, gray.astype(np.float64) / 255.0))
-    return frames
+        return Frame(idx, w, h, gray.astype(np.float64) / 255.0)
+
+    return _Decoded(decode, range(len(names)))
 
 
 def _read_y8_header(header_path: Path):
@@ -246,23 +300,25 @@ def _read_y8_header(header_path: Path):
     return w, h, count
 
 
-def _load_raw_y8(source: Path) -> list[Frame]:
+def _load_raw_y8(source: Path) -> Sequence[Frame]:
     w, h, count = _read_y8_header(source.with_name(source.name + ".hdr"))
-    body = source.read_bytes()
+    size = source.stat().st_size
     need = w * h * count
-    if len(body) != need:
+    if size != need:
         raise TruncationError(
             f"{source}: header declares {need} bytes ({count} frames of "
-            f"{w}x{h}), file has {len(body)} (mismatch at byte "
-            f"{min(need, len(body))})"
+            f"{w}x{h}), file has {size} (mismatch at byte {min(need, size)})"
         )
-    data = np.frombuffer(body, dtype=np.uint8).reshape(count, h, w)
-    return [
-        Frame(i, w, h, data[i].astype(np.float64) / 255.0) for i in range(count)
-    ]
+
+    def decode(idx: int) -> Frame:
+        raw = _read_at(source, idx * w * h, w * h)
+        gray = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+        return Frame(idx, w, h, gray.astype(np.float64) / 255.0)
+
+    return _Decoded(decode, range(count))
 
 
-def write_frames_y8(frames: list[Frame], dest) -> None:
+def write_frames_y8(frames: Sequence[Frame], dest) -> None:
     """Write frames as raw-y8 (body file plus ``.hdr`` sidecar).
 
     Intensities are quantized with round(v * 255), so a load/write/load
@@ -327,7 +383,9 @@ def load_masks(source, frame_count: int | None = None) -> GroundTruth:
 
     Any nonzero pixel marks an anomalous location; a frame's label is 1
     iff its mask has at least one nonzero pixel. When ``frame_count`` is
-    given, a differing mask count raises AlignmentError.
+    given, a differing mask count raises AlignmentError. The labels are
+    read up front, one mask at a time; ``pixel_masks`` is a lazy sequence
+    that decodes a mask on each access.
     """
     source = Path(source)
     names = _pnm_sequence(source, "mask PGMs", "mask files")
@@ -335,9 +393,13 @@ def load_masks(source, frame_count: int | None = None) -> GroundTruth:
         raise AlignmentError(
             f"{source}: {len(names)} masks for {frame_count} video frames"
         )
-    masks = [read_pnm(source / name) > 0 for name in names]
+    masks = _Decoded(lambda idx: read_pnm(source / names[idx]) > 0, range(len(names)))
     labels = np.array([1 if m.any() else 0 for m in masks], dtype=np.uint8)
-    return GroundTruth(labels, masks)
+    gt = GroundTruth(labels)
+    # set after construction: the labels were just derived from these
+    # masks, and the consistency check would decode every mask again
+    gt.pixel_masks = masks
+    return gt
 
 
 def load_labels(source, frame_count: int | None = None) -> GroundTruth:
@@ -369,33 +431,49 @@ def load_ground_truth(source, frame_count: int | None = None) -> GroundTruth:
 # UMK1 activation tensors
 # ---------------------------------------------------------------------------
 
-def load_activations(source) -> list[ActivationFrame]:
-    """Load a UMK1 activation file (see module docstring for the layout)."""
+def load_activations(source) -> Sequence[ActivationFrame]:
+    """Validate a UMK1 activation file (see module docstring for the
+    layout) and return it as a lazy sequence of ActivationFrames.
+
+    Validation scans the payload for non-finite values one frame at a
+    time and reports the first one by its element index in the payload.
+    """
     source = Path(source)
-    data = source.read_bytes()
-    if len(data) < _UMK1_HEADER_BYTES:
-        raise FormatError(f"{source}: too short for a UMK1 header")
-    if data[:4] != _UMK1_MAGIC:
-        raise FormatError(f"{source}: bad magic {data[:4]!r} at byte 0")
-    count, channels, height, width = np.frombuffer(data, "<u4", 4, offset=4)
-    expected = _UMK1_HEADER_BYTES + int(count) * int(channels) * int(height) * int(width) * 4
-    if len(data) != expected:
-        raise TruncationError(
-            f"{source}: header declares {expected} bytes total, file has "
-            f"{len(data)} (mismatch at byte {min(expected, len(data))})"
+    with open(source, "rb") as fh:
+        head = fh.read(_UMK1_HEADER_BYTES)
+        if len(head) < _UMK1_HEADER_BYTES:
+            raise FormatError(f"{source}: too short for a UMK1 header")
+        if head[:4] != _UMK1_MAGIC:
+            raise FormatError(f"{source}: bad magic {head[:4]!r} at byte 0")
+        count, channels, height, width = (
+            int(v) for v in np.frombuffer(head, "<u4", 4, offset=4)
         )
-    values = np.frombuffer(data, "<f4", offset=_UMK1_HEADER_BYTES)
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise DataError(f"{source}: non-finite value at element {bad}")
-    tensor = values.reshape(int(count), int(channels), int(height), int(width))
-    return [
-        ActivationFrame(i, int(channels), int(height), int(width), tensor[i])
-        for i in range(int(count))
-    ]
+        per_frame = channels * height * width
+        expected = _UMK1_HEADER_BYTES + count * per_frame * 4
+        size = source.stat().st_size
+        if size != expected:
+            raise TruncationError(
+                f"{source}: header declares {expected} bytes total, file has "
+                f"{size} (mismatch at byte {min(expected, size)})"
+            )
+        for idx in range(count):
+            # no name holds the chunk, so it is freed before the next read
+            finite = np.isfinite(
+                np.frombuffer(_read_exact(fh, per_frame * 4, source), "<f4")
+            )
+            if not finite.all():
+                bad = idx * per_frame + int(np.argmin(finite))
+                raise DataError(f"{source}: non-finite value at element {bad}")
+
+    def decode(idx: int) -> ActivationFrame:
+        raw = _read_at(source, _UMK1_HEADER_BYTES + idx * per_frame * 4, per_frame * 4)
+        values = np.frombuffer(raw, "<f4").reshape(channels, height, width)
+        return ActivationFrame(idx, channels, height, width, values)
+
+    return _Decoded(decode, range(count))
 
 
-def write_activations(frames: list[ActivationFrame], dest) -> None:
+def write_activations(frames: Sequence[ActivationFrame], dest) -> None:
     """Write activation frames as a UMK1 file."""
     if not frames:
         raise ValueError("cannot write an empty activation sequence")

@@ -135,7 +135,8 @@ class FeatureStore:
     first frame; a static cell stores no descriptor) and per-frame
     appearance vectors. evict_below() drops everything no window at or
     after the given frame can need, which bounds memory to roughly one
-    window span.
+    window span; a resized frame goes as soon as the slots that contain
+    it are cached.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -204,11 +205,26 @@ class FeatureStore:
         return self._bin_grid == bin
 
     def evict_below(self, frame: int) -> None:
-        for store in (self._resized, self._app):
-            for i in [i for i in store if i < frame]:
-                del store[i]
-        for s in [s for s in self._slots if s < frame]:
-            del self._slots[s]
+        """Drop what no window starting at ``frame`` or later can need.
+
+        Such windows start at ``frame``, ``frame + stride``, ... A cached
+        slot is kept while one of them reads it, and a resized frame only
+        while a slot of theirs that is not cached yet contains it.
+        """
+        cfg = self.config
+        seen = self.frames_seen
+        # slots of those windows that start at a frame already pushed
+        reachable = {
+            s
+            for start in range(frame, seen, cfg.stride)
+            for s in range(start, min(start + 2 * cfg.w, seen), STACK)
+        }
+        self._slots = {s: v for s, v in self._slots.items() if s in reachable}
+        needed = {
+            i for s in reachable if s not in self._slots for i in range(s, s + STACK)
+        }
+        self._resized = {i: v for i, v in self._resized.items() if i in needed}
+        self._app = {i: v for i, v in self._app.items() if i >= frame}
 
 
 def window_batch(
@@ -542,8 +558,9 @@ def run_detector(
     activations: Sequence[ActivationFrame] | None = None,
     config: DetectorConfig | None = None,
 ) -> DetectionResult:
-    """Run the full detector over in-memory inputs by pushing every frame
-    through a StreamingDetector."""
+    """Run the full detector by pushing every frame through a
+    StreamingDetector. Inputs are read one index at a time, so the lazy
+    sequences of the ingest loaders are never held whole."""
     config = config or DetectorConfig()
     frame_count = _check_inputs(frames, activations, config)
     plan_windows(frame_count, config.w, config.stride)  # validates length early

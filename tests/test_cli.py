@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 
 import videoanomaly
 from videoanomaly import read_scores_csv, write_activations, write_frames_y8, write_pgm
+from videoanomaly import cli
 from videoanomaly.cli import main
 from videoanomaly.pipeline import CSV_HEADER
 from videoanomaly import synth
@@ -201,6 +204,101 @@ def test_run_zero_width_pgm_exit_3(tmp_path, capsys):
     assert "FormatError" in capsys.readouterr().err
 
 
+# Input data errors (exit 3) take precedence over configuration errors and
+# over a stream too short for one window (both exit 2): each loader
+# validates its whole input before the run starts.
+
+
+@pytest.mark.parametrize("damage", ["short-payload", "bad-magic"])
+def test_run_corrupt_pgm_mid_sequence_beats_bad_stride(tmp_path, capsys, damage):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(25):
+        write_pgm(frames / f"{i:03d}.pgm", np.zeros((6, 8), np.uint8))
+    bad = frames / "012.pgm"
+    data = bad.read_bytes()
+    bad.write_bytes(data[:-1] if damage == "short-payload" else b"P7" + data[2:])
+    rc = main(["run", "--frames", str(frames), "--stride", "0",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert ("TruncationError" if damage == "short-payload" else "FormatError") in err
+    assert "012.pgm" in err
+
+
+def test_run_truncated_short_y8_beats_stream_too_short(tmp_path, capsys):
+    clip = tmp_path / "clip.y8"
+    write_frames_y8(synth.noise_video(5, width=8, height=6), clip)
+    clip.write_bytes(clip.read_bytes()[:-1])
+    rc = main(["run", "--frames", str(clip), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "TruncationError" in capsys.readouterr().err
+
+
+def test_run_nan_in_last_umk1_frame_exit_3(tmp_path, capsys):
+    acts = synth.noise_activations(3, seed=2)  # also too short for a window
+    acts[-1].values[4, 2, 7] = np.nan
+    path = tmp_path / "acts.umk1"
+    write_activations(acts, path)
+    rc = main(["run", "--activations", str(path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    per_frame = acts[0].values.size
+    element = 2 * per_frame + np.ravel_multi_index((4, 2, 7), acts[0].values.shape)
+    err = capsys.readouterr().err
+    assert "DataError" in err
+    assert f"non-finite value at element {element}" in err
+
+
+def test_run_input_shrunk_after_validation_exit_3(video, tmp_path, capsys, monkeypatch):
+    clip = tmp_path / "video.y8"
+    clip.write_bytes(video["frames"].read_bytes())
+    clip.with_name("video.y8.hdr").write_text(
+        video["frames"].with_name("video.y8.hdr").read_text()
+    )
+    validated = cli.load_frames
+
+    def load_then_shrink(*args):
+        frames = validated(*args)
+        clip.write_bytes(clip.read_bytes()[:-100])
+        return frames
+
+    monkeypatch.setattr(cli, "load_frames", load_then_shrink)
+    rc = main(["run", "--frames", str(clip), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "TruncationError" in capsys.readouterr().err
+
+
+def test_run_manifest_sha256_of_every_input(tmp_path):
+    def sha(*chunks):
+        return hashlib.sha256(b"".join(chunks)).hexdigest()
+
+    clip, acts = tmp_path / "clip.y8", tmp_path / "clip.umk1"
+    write_frames_y8(synth.noise_video(20, seed=3), clip)
+    write_activations(synth.noise_activations(20, seed=3), acts)
+    out = tmp_path / "fusion.csv"
+    rc = main(["run", "--frames", str(clip), "--activations", str(acts), "--k", "1",
+               "--out", str(out)])
+    assert rc == 0
+    inputs = json.loads(Path(str(out) + ".manifest.json").read_text())["inputs"]
+    assert inputs["frames"]["sha256"] == sha(clip.read_bytes())
+    assert inputs["activations"]["sha256"] == sha(acts.read_bytes())
+
+    # a directory hashes every file in name order, name then bytes, the
+    # files that are not frames included
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for f in synth.noise_video(20, seed=4):
+        write_pgm(frames / f"{f.index:03d}.pgm", np.rint(f.pixels * 255).astype(np.uint8))
+    (frames / "notes.txt").write_text("not a frame\n")
+    out = tmp_path / "pgm.csv"
+    rc = main(["run", "--frames", str(frames), "--k", "1", "--out", str(out)])
+    assert rc == 0
+    digest = json.loads(Path(str(out) + ".manifest.json").read_text())["inputs"]["frames"]
+    files = sorted(frames.iterdir())
+    assert files[-1].name == "notes.txt"
+    assert digest["sha256"] == sha(*(p.name.encode() + p.read_bytes() for p in files))
+
+
 def test_run_invalid_parameter_exit_2(video, tmp_path):
     rc, _ = _run(video, tmp_path, "--stride", "11")
     assert rc == 2
@@ -351,6 +449,61 @@ def test_eval_pixel_without_masks_exit_2(video, tmp_path, capsys):
     rc = main(["eval", "--scores", str(scores), "--gt", str(video["labels"]),
                "--level", "pixel", "--maps", str(maps), "--out", str(tmp_path / "r.json")])
     assert rc == 2
+
+
+# ------------------------------------------------------------ flat memory
+
+
+def _traced_peak(argv) -> int:
+    """Peak traced allocation, in bytes, of one CLI call that must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_clip_length(tmp_path, capsys):
+    """80x60 frames, so every frame is resized: a decoded clip would cost
+    38 KB per frame, while a run keeps only per-window rows and the score
+    series."""
+    img = np.random.default_rng(0).integers(0, 256, (60, 80), dtype=np.uint8)
+    peaks = {}
+    for count in (4000, 1000):  # the longer clip first pays any one-time cost
+        clip = tmp_path / f"static{count}.y8"
+        clip.write_bytes(img.tobytes() * count)
+        clip.with_name(clip.name + ".hdr").write_text(f"80 60 {count}\n")
+        peaks[count] = _traced_peak(
+            ["run", "--frames", str(clip), "--out", str(tmp_path / f"s{count}.csv")]
+        )
+    assert (peaks[4000] - peaks[1000]) / 3000 < 1024
+
+
+def test_eval_pixel_mask_memory_does_not_grow_with_frame_count(tmp_path, capsys):
+    """One 240x320 mask decodes to 77 KB; eval holds one at a time. What
+    grows with the frame count is the score grids (1.5 KB a frame) and
+    the score rows."""
+    rng = np.random.default_rng(1)
+
+    def inputs(count):
+        root = tmp_path / str(count)
+        masks = root / "masks"
+        masks.mkdir(parents=True)
+        for i in range(count):
+            mask = np.zeros((240, 320), np.uint8)
+            if i % 2:
+                mask[40:120, 80:200] = 255
+            write_pgm(masks / f"{i:04d}.pgm", mask)
+        scores = root / "scores.csv"
+        scores.write_text(CSV_HEADER + "\n" + "".join(f"{i},,,0.5,0.5\n" for i in range(count)))
+        np.savez_compressed(root / "maps.npz", fused=rng.random((count, 12, 16)))
+        return ["eval", "--scores", str(scores), "--gt", str(masks), "--level", "pixel",
+                "--maps", str(root / "maps.npz"), "--out", str(root / "r.json")]
+
+    assert main(inputs(2)) == 0  # warm the smoothing cache for this mask size
+    peaks = {count: _traced_peak(inputs(count)) for count in (20, 80)}
+    assert (peaks[80] - peaks[20]) / 60 < 4 * 1024
 
 
 # --------------------------------------------------------------------- bench

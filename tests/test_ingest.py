@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from videoanomaly import (
     AlignmentError,
     DataError,
+    DetectorConfig,
     Frame,
     FormatError,
     OrderingError,
@@ -17,10 +20,12 @@ from videoanomaly import (
     load_masks,
     read_pnm,
     resize_bilinear,
+    run_detector,
     write_activations,
     write_frames_y8,
     write_pgm,
 )
+from videoanomaly import synth
 from videoanomaly.ingest import ActivationFrame
 
 
@@ -305,3 +310,219 @@ def test_activations_nan_payload(tmp_path):
     write_activations(acts, dest)
     with pytest.raises(DataError):
         load_activations(dest)
+
+
+# ----------------------------------------- lazy loaders vs. eager decoding
+#
+# The loaders used to decode a whole input into lists. These are those
+# list builders, kept as the oracle that every lazily decoded item must
+# equal bit for bit.
+
+
+def _eager_pgm_sequence(source):
+    names = sorted(p.name for p in source.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+    frames = []
+    for idx, name in enumerate(names):
+        gray = read_pnm(source / name)
+        h, w = gray.shape
+        frames.append(Frame(idx, w, h, gray.astype(np.float64) / 255.0))
+    return frames
+
+
+def _eager_raw_y8(source):
+    w, h, count = (int(v) for v in source.with_name(source.name + ".hdr").read_text().split())
+    data = np.frombuffer(source.read_bytes(), dtype=np.uint8).reshape(count, h, w)
+    return [Frame(i, w, h, data[i].astype(np.float64) / 255.0) for i in range(count)]
+
+
+def _eager_activations(source):
+    data = source.read_bytes()
+    count, channels, height, width = (int(v) for v in np.frombuffer(data, "<u4", 4, offset=4))
+    values = np.frombuffer(data, "<f4", offset=20)
+    tensor = values.reshape(count, channels, height, width)
+    return [ActivationFrame(i, channels, height, width, tensor[i]) for i in range(count)]
+
+
+def _eager_masks(source):
+    names = sorted(p.name for p in source.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+    masks = [read_pnm(source / name) > 0 for name in names]
+    labels = np.array([1 if m.any() else 0 for m in masks], dtype=np.uint8)
+    return labels, masks
+
+
+def _same_frame(a, b):
+    assert (a.index, a.width, a.height) == (b.index, b.width, b.height)
+    assert a.pixels.dtype == b.pixels.dtype == np.float64
+    assert np.array_equal(a.pixels.view(np.uint64), b.pixels.view(np.uint64))
+
+
+def _check_sequence_access(lazy, eager, same):
+    """Every item, negative indices, slices, out-of-range indices and a
+    repeated read of one item agree with the eager list."""
+    assert len(lazy) == len(eager)
+    for a, b in zip(lazy, eager):
+        same(a, b)
+    n = len(eager)
+    for i in (-1, -n):
+        same(lazy[i], eager[i])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[i]
+    for a, b in zip(lazy[1::2], eager[1::2]):
+        same(a, b)
+    first, again = lazy[0], lazy[0]
+    same(first, again)
+    same(again, eager[0])
+
+
+def _write_ppm(path, rgb):
+    h, w, _ = rgb.shape
+    path.write_bytes(f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["P5", "P6"])
+def test_lazy_pgm_sequence_matches_eager_oracle(tmp_path, kind):
+    rng = np.random.default_rng(11)
+    for i in range(5):
+        h, w = (6, 8) if i % 2 else (5, 7)  # sizes may differ between files
+        if kind == "P5":
+            write_pgm(tmp_path / f"f_{i:02d}.pgm", rng.integers(0, 256, (h, w), dtype=np.uint8))
+        else:
+            _write_ppm(tmp_path / f"f_{i:02d}.ppm", rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    _check_sequence_access(load_frames(tmp_path), _eager_pgm_sequence(tmp_path), _same_frame)
+
+
+@pytest.mark.parametrize("size", [(8, 6), (160, 120)])  # (160, 120): no resize needed
+def test_lazy_raw_y8_matches_eager_oracle(tmp_path, size):
+    w, h = size
+    dest = tmp_path / "video.y8"
+    write_frames_y8(_frames(7, h=h, w=w, seed=4), dest)
+    lazy = load_frames(dest, format="raw-y8")
+    _check_sequence_access(lazy, _eager_raw_y8(dest), _same_frame)
+
+
+def test_lazy_raw_y8_scores_match_eager_frames_at_working_size(tmp_path):
+    """At the working size the detector keeps the decoded buffer itself,
+    with no resize copy in between; scores match the eager list's."""
+    dest = tmp_path / "video.y8"
+    write_frames_y8(synth.noise_video(30, seed=2), dest)
+    config = DetectorConfig(k=2)
+    lazy = run_detector(load_frames(dest, format="raw-y8"), config=config)
+    eager = run_detector(_eager_raw_y8(dest), config=config)
+    for name in ("fused", "smoothed"):
+        a, b = getattr(lazy.series, name), getattr(eager.series, name)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert np.array_equal(lazy.bin_scores["motion"], eager.bin_scores["motion"])
+
+
+def test_lazy_activations_match_eager_oracle(tmp_path):
+    dest = tmp_path / "acts.umk1"
+    write_activations(_acts(4, seed=5), dest)
+
+    def same(a, b):
+        assert (a.index, a.channels, a.height, a.width) == (b.index, b.channels, b.height, b.width)
+        assert a.values.dtype == b.values.dtype == np.float32
+        assert np.array_equal(a.values.view(np.uint32), b.values.view(np.uint32))
+
+    _check_sequence_access(load_activations(dest), _eager_activations(dest), same)
+
+
+def test_lazy_masks_match_eager_oracle(tmp_path):
+    rng = np.random.default_rng(6)
+    for i in range(6):
+        mask = np.zeros((6, 9), dtype=np.uint8)
+        if i % 3:
+            mask[rng.integers(0, 6, 4), rng.integers(0, 9, 4)] = rng.integers(1, 256, 4)
+        write_pgm(tmp_path / f"m_{i:02d}.pgm", mask)
+    labels, masks = _eager_masks(tmp_path)
+    gt = load_masks(tmp_path, frame_count=6)
+    assert np.array_equal(gt.frame_labels, labels)
+    assert gt.frame_labels.dtype == np.uint8
+
+    def same(a, b):
+        assert a.dtype == b.dtype == bool
+        assert np.array_equal(a, b)
+
+    _check_sequence_access(gt.pixel_masks, masks, same)
+
+
+# ------------------------------------------- a file that shrinks after load
+
+
+def test_y8_shrunk_after_load_raises_truncation(tmp_path):
+    dest = tmp_path / "video.y8"
+    write_frames_y8(_frames(4), dest)
+    frames = load_frames(dest, format="raw-y8")
+    dest.write_bytes(dest.read_bytes()[:-10])
+    frames[2]  # still complete
+    with pytest.raises(TruncationError):
+        frames[3]
+
+
+def test_activations_shrunk_after_load_raise_truncation(tmp_path):
+    dest = tmp_path / "acts.umk1"
+    write_activations(_acts(3), dest)
+    acts = load_activations(dest)
+    dest.write_bytes(dest.read_bytes()[:-4])
+    acts[1]
+    with pytest.raises(TruncationError):
+        acts[2]
+
+
+def test_pgm_shrunk_after_load_raises_truncation(tmp_path):
+    for i in range(3):
+        write_pgm(tmp_path / f"f_{i}.pgm", np.zeros((4, 4), dtype=np.uint8))
+    frames = load_frames(tmp_path)
+    path = tmp_path / "f_1.pgm"
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(TruncationError):
+        frames[1]
+
+
+# ------------------------------------------------ validation up front
+
+
+def test_sequence_validates_every_file_up_front(tmp_path):
+    for i in range(5):
+        write_pgm(tmp_path / f"f_{i}.pgm", np.zeros((4, 4), dtype=np.uint8))
+    path = tmp_path / "f_3.pgm"
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncationError):
+        load_frames(tmp_path)
+    path.write_bytes(b"P7" + path.read_bytes()[2:])
+    with pytest.raises(FormatError):
+        load_frames(tmp_path)
+
+
+def test_masks_validate_every_file_up_front(tmp_path):
+    for i in range(3):
+        write_pgm(tmp_path / f"m_{i}.pgm", np.zeros((4, 4), dtype=np.uint8))
+    (tmp_path / "m_1.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+    with pytest.raises(TruncationError):
+        load_masks(tmp_path)
+
+
+def test_activations_nan_reports_payload_element(tmp_path):
+    acts = _acts(3)
+    acts[2].values[7, 3, 1] = np.inf
+    acts[2].values[9, 0, 0] = np.nan
+    dest = tmp_path / "acts.umk1"
+    write_activations(acts, dest)
+    with pytest.raises(DataError) as err:
+        load_activations(dest)
+    per_frame = 256 * 13 * 13
+    assert f"element {2 * per_frame + 7 * 169 + 3 * 13 + 1}" in str(err.value)
+
+
+def test_activations_validation_peak_memory_is_one_frame(tmp_path):
+    dest = tmp_path / "acts.umk1"
+    write_activations(_acts(60), dest)
+    frame_bytes = 256 * 13 * 13 * 4
+    tracemalloc.start()
+    try:
+        acts = load_activations(dest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(acts) == 60
+    assert peak < 2 * frame_bytes

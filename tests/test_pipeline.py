@@ -25,7 +25,7 @@ from videoanomaly import (
     write_scores_csv,
 )
 from videoanomaly import synth
-from videoanomaly.features import STATIC_EPS, WORK_H, WORK_W, gradient_feature
+from videoanomaly.features import STACK, STATIC_EPS, WORK_H, WORK_W, gradient_feature
 
 
 def _windows(starts, values, channel="motion"):
@@ -138,6 +138,40 @@ def test_store_keeps_no_rows_for_static_slots():
         assert not keep.any()
         assert rows.shape == (0, 500)
     assert window_batch((0, 20), 0, "motion", store).x.shape == (0, 500)
+
+
+def test_store_drops_resized_frames_once_their_slots_are_cached():
+    """At w=10, stride 5 a closing window has cached every slot that a
+    later window reads and that the pushed frames reach, so no resized
+    frame outlives the close; between closes only the frames of the next
+    uncached slot are held."""
+    frames, _, _ = synth.block_event_video(frame_count=60, active_range=(20, 40))
+    det = StreamingDetector(DetectorConfig(w=10, stride=5, k=1))
+    closes = 0
+    for f in frames:
+        closed = bool(det.push(f))  # every close emits frames
+        held = len(det.store._resized)
+        if closed:
+            closes += 1
+            assert held == 0
+        elif closes:
+            assert held < STACK
+    assert closes == len(plan_windows(60, 10, 5))
+
+
+def test_store_holds_only_uncached_slot_frames_at_stride_3():
+    """At stride 3 (w=10) later windows share only some of their slots
+    with closed ones. Past the first windows the store holds up to 14
+    resized frames, the ones uncached slots still need; keeping every
+    frame from the next window start on would hold up to 19."""
+    frames, _, _ = synth.block_event_video(frame_count=90, active_range=(20, 40))
+    det = StreamingDetector(DetectorConfig(w=10, stride=3, k=1))
+    held = []
+    for f in frames:
+        det.push(f)
+        if det.store.frames_seen > 40:
+            held.append(len(det.store._resized))
+    assert max(held) == 14
 
 
 def test_window_batch_motion_selects_kept_cells_of_its_bin():
