@@ -27,6 +27,13 @@ gradient X_A^T u: the Gram norm ||g||_2 only skips that product while
 The two solvers therefore stop at the same iterate up to rounding, and
 the accuracy profiles they give on the shipped workloads are identical;
 the tests hold the primal route as the oracle.
+
+Across the wide loops of one ``unmask`` the Gram route keeps its state
+instead of rebuilding it: a private copy of X whose eliminated columns
+are set to zero, and K, built once and downdated by K -= X_R X_R^T for
+the m removed columns X_R before they are zeroed. A zeroed column adds
+exactly 0 to every product, so the copy stands in for X_A with no gather
+and its products give the full weight vector with no scatter.
 """
 
 from __future__ import annotations
@@ -41,13 +48,19 @@ from .errors import DegenerateBatchError
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
-# Shape rule for the Gram solver: |A| >= GRAM_MIN_RATIO * n. Measured
-# against the primal solver on seed-0 batches captured from the benchmark
-# workloads (2 cores, OpenBLAS on one thread), the Gram fit ran 2.9-3.6x
-# faster at n=20, D=12544 (appearance), 1.3x at D=2000, 1.05x at D=1000,
-# and 0.78-0.99x on motion batches (D=500, n=8..192). 128 > 500/4 keeps
-# every non-degenerate motion batch (n >= 4) on the primal solver.
-GRAM_MIN_RATIO = 128
+# Shape rule for the Gram solver: |A| >= GRAM_MIN_RATIO * n. With K kept
+# and downdated across loops, a wide loop costs the Gram fit plus a
+# downdate. Timed per loop on seed-0 dense_motion batches (n=192; 2 cores,
+# OpenBLAS on one thread), primal fit against Gram fit + downdate:
+# 2241-2538 against 901-1150 + 124 us at D=500, 1085-1350 against
+# 736-1071 + 104-124 us at D=350, 519-692 against 492-879 + 111-123 us at
+# D=200. So at n=192 the crossover lies between |A| = n and 2n. At n=36
+# (cli_clip batches), where both fits are bound by per-call overhead, the
+# Gram route wins from D=400 and ties below. Over 120 captured dense_motion
+# batches unmask ran 1.03x faster at ratio 2 than at the earlier 128, over
+# the 88 non-degenerate long_stream batches (n=3..36) it was even, and the
+# profiles were identical. Every appearance loop (n=20, D=12544) is wide.
+GRAM_MIN_RATIO = 2
 
 
 @dataclass
@@ -135,18 +148,21 @@ def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _fit_gram(
-    gram: np.ndarray, xa: np.ndarray, y: np.ndarray, lam: float
+    gram: np.ndarray, xw: np.ndarray, dim: int, y: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
-    """``_fit`` in coefficient space: returns (a, b) with weights xa.T @ a.
+    """``_fit`` in coefficient space: returns (a, b) with weights xw.T @ a.
 
-    ``gram`` is xa @ xa.T. With w = xa.T @ a the primal gradient is
-    (xa.T @ u, sum(resid)) for u = resid + lam * a, so every step of the
-    primal recursion maps onto a and b. ||g||_2^2 = u.K.u + sum(resid)^2
+    ``xw`` is X with every column outside the active set zeroed, ``dim``
+    the active-set size |A| and ``gram`` is xw @ xw.T, which ``unmask``
+    keeps across loops and downdates rather than rebuilds. With
+    w = xw.T @ a the primal gradient is (xw.T @ u, sum(resid)) for
+    u = resid + lam * a, exactly 0 on the zeroed columns, so every step of
+    the primal recursion maps onto a and b. ||g||_2^2 = u.K.u + sum(resid)^2
     bounds ||g||_inf from below by ||g||_2 / sqrt(|A|+1); while that bound
     clears GRAD_TOL (with a 1e-6 relative margin for rounding) the fit
     cannot have converged and the explicit gradient is not formed.
     """
-    n, dim = xa.shape
+    n = xw.shape[0]
     lip = lam + (float(gram.diagonal().max()) + 1.0) / 4.0
     yf = y.astype(np.float64)
     rk = np.sqrt(lip / lam)
@@ -160,7 +176,7 @@ def _fit_gram(
         u = resid + lam * av
         gb = float(resid.sum())
         if u @ (gram @ u) + gb * gb < skip2:
-            if max(np.abs(xa.T @ u).max(), abs(gb)) < GRAD_TOL:
+            if max(np.abs(xw.T @ u).max(), abs(gb)) < GRAD_TOL:
                 return av, bv
         a_next = av - u / lip
         b_next = bv - gb / lip
@@ -170,14 +186,28 @@ def _fit_gram(
     return a, b
 
 
+def _gram_state(x: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram route's loop state: (xw, K) with xw a copy of ``x`` zeroed
+    outside ``active`` and K = xw @ xw.T."""
+    keep = np.zeros(x.shape[1])
+    keep[active] = 1.0
+    xw = x * keep
+    return xw, xw @ xw.T
+
+
 def train_logistic(
-    batch: WindowBatch, active: np.ndarray, lam: float
+    batch: WindowBatch,
+    active: np.ndarray,
+    lam: float,
+    _gram: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ClassifierState, float]:
     """Train on the active features; return the state and training accuracy.
 
     Accuracy counts hard predictions: label 1 iff linear score > 0, a
     score of exactly 0 predicts 0. Batches with |active| >= GRAM_MIN_RATIO
     * n train in Gram space (``_fit_gram``), the rest in the primal.
+    ``_gram`` is the Gram route's (xw, K) for this ``active``, kept by
+    ``unmask`` across loops; without it the state is built here.
     """
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
@@ -190,18 +220,17 @@ def train_logistic(
             f"batch needs both classes, got {n0} normal / {n1} abnormal"
         )
     n = batch.x.shape[0]
-    weights = np.zeros(batch.dim)
     if active.size >= GRAM_MIN_RATIO * n:
-        xa = batch.x[:, active]
-        gram = xa @ xa.T
-        coef, bias = _fit_gram(gram, xa, batch.y, lam)
-        weights[active] = xa.T @ coef
+        xw, gram = _gram if _gram is not None else _gram_state(batch.x, active)
+        coef, bias = _fit_gram(gram, xw, active.size, batch.y, lam)
+        weights = xw.T @ coef
         scores = gram @ coef + bias
     else:
         xb = np.empty((n, active.size + 1))
         xb[:, :-1] = batch.x[:, active]
         xb[:, -1] = 1.0
         wb = _fit(xb, batch.y, lam)
+        weights = np.zeros(batch.dim)
         weights[active] = wb[:-1]
         bias = wb[-1]
         scores = xb @ wb
@@ -253,6 +282,8 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
 
     A degenerate batch (either class has fewer than 2 examples) and loops
     reached after the active set empties record chance accuracy 0.5.
+    While |active| >= GRAM_MIN_RATIO * n the loops share one Gram state
+    (xw, K), downdated after each elimination; ``batch`` is never written.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -263,6 +294,10 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
     n0, n1 = batch.class_counts()
     degenerate = n0 < 2 or n1 < 2
     active = np.arange(batch.dim, dtype=np.intp)
+    gram_min = GRAM_MIN_RATIO * (n0 + n1)
+    gram_state = None
+    if not degenerate and active.size >= gram_min:
+        gram_state = _gram_state(batch.x, active)
     accuracies = np.empty(k)
     counts = []
     for i in range(k):
@@ -270,9 +305,20 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         if degenerate or active.size == 0:
             accuracies[i] = CHANCE
             continue
-        state, acc = train_logistic(batch, active, lam)
+        state, acc = train_logistic(batch, active, lam, _gram=gram_state)
         accuracies[i] = acc
-        active = eliminate_features(state, m)
+        kept = eliminate_features(state, m)
+        if gram_state is not None and kept.size >= gram_min:
+            xw, gram = gram_state
+            alive = np.zeros(batch.dim, dtype=bool)
+            alive[kept] = True
+            gone = active[~alive[active]]
+            xr = xw[:, gone]
+            gram -= xr @ xr.T
+            xw[:, gone] = 0.0
+        else:
+            gram_state = None
+        active = kept
     return UnmaskingProfile(accuracies, counts)
 
 

@@ -13,7 +13,7 @@ from videoanomaly import (
     unmask,
     unmasking,
 )
-from videoanomaly.features import PATCH, STACK
+from videoanomaly.features import CUBE_DIM, STACK, WORK_H, WORK_W, cube_grid
 from videoanomaly.unmasking import GRAM_MIN_RATIO, UnmaskingProfile, _fit
 
 
@@ -91,7 +91,7 @@ def _unmask_recorded(monkeypatch, batch, k=10, m=50, lam=0.1):
     fit_gram, eliminate = unmasking._fit_gram, unmasking.eliminate_features
 
     def counting_fit_gram(*args):
-        gram_fits.append(args[1].shape)
+        gram_fits.append(args[2])  # |A| of the fit
         return fit_gram(*args)
 
     def recording_eliminate(state, m):
@@ -211,6 +211,43 @@ def test_gram_path_matches_primal_at_appearance_shape(monkeypatch, seed, shift):
     assert len(gram_fits) == 10  # every loop stays wide
 
 
+def _unmask_gram_states(monkeypatch, batch, k=10):
+    """unmask() with the (active, xw, K) of every train_logistic call."""
+    calls = []
+    train = unmasking.train_logistic
+
+    def recording_train(batch, active, lam, _gram=None):
+        xw, kmat = _gram
+        calls.append((active.copy(), xw.copy(), kmat.copy()))
+        return train(batch, active, lam, _gram=_gram)
+
+    monkeypatch.setattr(unmasking, "train_logistic", recording_train)
+    return unmask(batch, k=k), calls
+
+
+def test_downdated_gram_tracks_rebuilt_gram(monkeypatch):
+    # K is built once and downdated by the removed columns each loop; over
+    # all ten loops it stays within rounding of X_A X_A^T rebuilt from scratch
+    batch = _relu_noise_batch(20, 12544, seed=0)
+    _, calls = _unmask_gram_states(monkeypatch, batch)
+    assert len(calls) == 10
+    for active, xw, kmat in calls:
+        xa = batch.x[:, active]
+        exact = xa @ xa.T
+        assert np.abs(kmat - exact).max() <= 1e-14 * np.abs(exact).max()
+        # the working copy is X with exactly the eliminated columns zeroed
+        assert np.array_equal(xw[:, active], xa)
+        assert not np.delete(xw, active, axis=1).any()
+
+
+def test_unmask_trains_once_per_loop_and_leaves_batch_untouched(monkeypatch):
+    batch = _relu_noise_batch(20, 12544, seed=1, shift=0.05)
+    before = batch.x.copy()
+    _, calls = _unmask_gram_states(monkeypatch, batch)
+    assert len(calls) == 10  # one train_logistic call per trained loop
+    assert batch.x.tobytes() == before.tobytes()  # bit-for-bit: -0.0 != 0.0 here
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
 def test_gram_fit_matches_primal_weights(lam):
     # the two solvers differ only in rounding (about 1e-15 of max |w|);
@@ -245,22 +282,27 @@ def test_gram_path_twin_halves_sit_at_chance_exactly(monkeypatch):
     assert np.array_equal(prof.accuracies, np.full(10, 0.5))
 
 
-@pytest.mark.parametrize("dim,gram_loops", [(128 * 8 - 1, 0), (128 * 8, 1)])
+@pytest.mark.parametrize("dim,gram_loops", [(1023, 0), (1024, 1)])
 def test_gram_switch_boundary_matches_primal(monkeypatch, dim, gram_loops):
-    # n = 8: only the first loop of the wider batch takes the Gram path
-    batch = _relu_noise_batch(8, dim, seed=13, shift=0.1)
+    # n puts D = 1024 exactly at the switch: only the first loop of the wider
+    # batch takes the Gram path
+    n = 1024 // GRAM_MIN_RATIO
+    assert n * GRAM_MIN_RATIO == 1024
+    batch = _relu_noise_batch(n, dim, seed=13, shift=0.1)
     _, gram_fits = _assert_matches_primal(monkeypatch, batch, k=4, m=2)
     assert len(gram_fits) == gram_loops
 
 
-def test_motion_batches_stay_on_primal_solver(monkeypatch):
-    # the smallest non-degenerate batch (2 examples per class) at the motion
-    # dimension: the shipped motion scores come from the primal solver
-    dim = PATCH * PATCH * STACK
-    assert dim < GRAM_MIN_RATIO * 4
-    batch = _relu_noise_batch(4, dim, seed=14, shift=0.5)
-    _, gram_fits = _assert_matches_primal(monkeypatch, batch, k=3, m=50)
-    assert gram_fits == []
+def test_motion_batch_matches_primal_across_the_switch(monkeypatch):
+    # a dense-motion batch, 192 noise cubes against D = 500: the loops with
+    # |A| >= GRAM_MIN_RATIO * n train on the downdated Gram matrix, the
+    # narrower ones in the primal, and the profile is the primal oracle's
+    rows, _ = cube_grid(np.random.default_rng(14).random((STACK, WORK_H, WORK_W)))
+    batch = WindowBatch(rows, np.r_[np.zeros(96), np.ones(96)])
+    _, gram_fits = _assert_matches_primal(monkeypatch, batch)
+    dims = range(CUBE_DIM, 0, -50)
+    assert gram_fits == [d for d in dims if d >= GRAM_MIN_RATIO * 192]
+    assert gram_fits  # the motion shape reaches the Gram route
 
 
 def test_batch_shape_validation():
