@@ -127,6 +127,23 @@ def _cells(volume: np.ndarray) -> np.ndarray:
     return volume.reshape(STACK, GRID_H, PATCH, GRID_W, PATCH).transpose(1, 3, 0, 2, 4)
 
 
+def _temporal_gradient(stack: np.ndarray) -> np.ndarray:
+    """``np.gradient(stack, axis=0)`` bit for bit, written by slicing.
+
+    One-sided differences at the first and last frame, central ones
+    (halved) in between, as np.gradient takes them at unit spacing.
+    """
+    f = np.asarray(stack)
+    if not np.issubdtype(f.dtype, np.inexact):
+        f = f.astype(np.float64)  # np.gradient's promotion of integer input
+    gt = np.empty_like(f)
+    np.subtract(f[1], f[0], out=gt[0])
+    np.subtract(f[2:], f[:-2], out=gt[1:-1])
+    gt[1:-1] /= 2.0
+    np.subtract(f[-1], f[-2], out=gt[-1])
+    return gt
+
+
 def cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors of the moving cells of one 5-frame stack.
 
@@ -144,7 +161,7 @@ def cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"expected a ({STACK}, {WORK_H}, {WORK_W}) frame stack, got {np.shape(stack)}"
         )
-    gt = np.gradient(stack, axis=0)
+    gt = _temporal_gradient(stack)
     np.abs(gt, out=gt)  # the gate reads |d/dt|, the magnitude only its square
     # peak |d/dt| per pixel, then over each cell's rows and columns
     peak = gt.max(axis=0).reshape(GRID_H, PATCH, WORK_W).max(axis=1)

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videoanomaly import DetectorConfig, Frame, StreamingDetector, synth
+from videoanomaly import (
+    DetectorConfig,
+    Frame,
+    StreamingDetector,
+    cli,
+    synth,
+    write_frames_y8,
+)
 from videoanomaly.features import STATIC_EPS
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
@@ -85,3 +92,17 @@ def test_traced_static_drop_matches_oracle(tracer):
     assert tr.counts["slot_cells"] == 6 * 192
     assert tr.counts["slot_cells_static"] == static
     assert 0.9 < static / (6 * 192) < 1
+
+
+def test_traced_cli_run_resizes_every_frame(tracer, tmp_path):
+    """``ingest.resize`` wraps the one resize the pipeline calls, so a
+    traced ``run`` on a clip off the working size has one span per frame."""
+    clip = tmp_path / "clip.y8"
+    write_frames_y8(synth.noise_video(24, width=48, height=36, seed=3), clip)
+    with tracer.Tracer() as tr:
+        code = cli.main(["run", "--frames", str(clip), "--frames-format", "raw-y8",
+                         "--k", "2", "--out", str(tmp_path / "scores.csv")])
+    assert code == 0
+    assert tr.names.count("ingest.resize") == 24
+    assert tr.names.count("features.add") == 24
+    assert tr.names.count("ingest.load_frames") == 1

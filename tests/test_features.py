@@ -10,7 +10,7 @@ from videoanomaly import (
     cube_grid,
     gradient_feature,
 )
-from videoanomaly.features import STATIC_EPS
+from videoanomaly.features import STATIC_EPS, _temporal_gradient
 from videoanomaly.ingest import ActivationFrame
 
 
@@ -203,6 +203,34 @@ def test_cube_grid_matches_per_block_oracle(case):
     assert np.array_equal(rows, expected_vectors[keep])
     assert keep.sum() == ORACLE_KEPT.get(case, 191)
 
+
+
+def _gradient_cases():
+    """50 stacks, cycling through noise, static, scaled noise (1e-8 to
+    1e8) and static with changes near STATIC_EPS."""
+    rng = np.random.default_rng(23)
+    for i in range(50):
+        kind = i % 4
+        if kind == 0:
+            yield rng.random((5, 120, 160))
+        elif kind == 1:
+            yield np.repeat(rng.random((1, 120, 160)), 5, axis=0)
+        elif kind == 2:
+            yield rng.random((5, 120, 160)) * 10.0 ** rng.integers(-8, 9)
+        else:
+            stack = np.repeat(rng.random((1, 120, 160)), 5, axis=0)
+            stack += rng.random((5, 120, 160)) * 3 * STATIC_EPS
+            yield stack
+
+
+def test_temporal_gradient_matches_np_gradient_bitwise():
+    for stack in _gradient_cases():
+        got = _temporal_gradient(stack)
+        want = np.gradient(stack, axis=0)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    ints = np.random.default_rng(1).integers(0, 256, (5, 120, 160), dtype=np.uint8)
+    assert np.array_equal(_temporal_gradient(ints), np.gradient(ints, axis=0))
 
 # --------------------------------------------------------------- bin layout
 

@@ -26,7 +26,7 @@ from videoanomaly import (
     write_pgm,
 )
 from videoanomaly import synth
-from videoanomaly.ingest import ActivationFrame
+from videoanomaly.ingest import ActivationFrame, _axis_coords, _resize_plan
 
 
 def _frames(count, h=6, w=8, seed=0):
@@ -444,6 +444,140 @@ def test_lazy_masks_match_eager_oracle(tmp_path):
         assert np.array_equal(a, b)
 
     _check_sequence_access(gt.pixel_masks, masks, same)
+
+
+# ------------------------------------------- 8-bit frames and their resize
+#
+# Decoded frames keep their 8-bit samples until ``pixels`` is read, and
+# resize_bilinear gathers from them through a cached plan. The resize it
+# replaced is kept here as the oracle every resize must equal bit for bit.
+
+
+def _resize_reference(frame, out_w, out_h):
+    src = frame.pixels
+    xs = _axis_coords(frame.width, out_w)
+    ys = _axis_coords(frame.height, out_h)
+    x0 = np.clip(np.floor(xs).astype(int), 0, frame.width - 1)
+    y0 = np.clip(np.floor(ys).astype(int), 0, frame.height - 1)
+    x1 = np.minimum(x0 + 1, frame.width - 1)
+    y1 = np.minimum(y0 + 1, frame.height - 1)
+    tx = xs - x0
+    ty = (ys - y0)[:, None]
+    top = src[np.ix_(y0, x0)] * (1.0 - tx) + src[np.ix_(y0, x1)] * tx
+    bot = src[np.ix_(y1, x0)] * (1.0 - tx) + src[np.ix_(y1, x1)] * tx
+    return top * (1.0 - ty) + bot * ty
+
+
+# (width, height, out_w, out_h): Avenue to working size, an upscale, an
+# odd downscale, one-column and one-row frames, one output pixel, and the
+# identity
+RESIZE_CASES = [
+    (640, 360, 160, 120),
+    (8, 6, 37, 29),
+    (97, 53, 31, 17),
+    (1, 9, 3, 4),
+    (9, 1, 4, 2),
+    (13, 11, 1, 1),
+    (11, 7, 11, 7),
+]
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", RESIZE_CASES)
+def test_resize_matches_reference_on_float_frames(size):
+    w, h, out_w, out_h = size
+    rng = np.random.default_rng(w * h)
+    for pixels in (rng.random((h, w)), rng.normal(0.0, 3.0, (h, w))):
+        out = resize_bilinear(Frame(0, w, h, pixels), out_w, out_h)
+        _same_bits(out.pixels, _resize_reference(Frame(0, w, h, pixels), out_w, out_h))
+
+
+@pytest.mark.parametrize("size", RESIZE_CASES)
+def test_resize_matches_reference_on_decoded_frames(tmp_path, size):
+    w, h, out_w, out_h = size
+    dest = tmp_path / "video.y8"
+    write_frames_y8(_frames(3, h=h, w=w, seed=w + h), dest)
+    for frame, eager in zip(load_frames(dest, format="raw-y8"), _eager_raw_y8(dest)):
+        assert frame._pixels is None  # resized from the 8-bit samples
+        out = resize_bilinear(frame, out_w, out_h)
+        assert (out.index, out.width, out.height) == (frame.index, out_w, out_h)
+        _same_bits(out.pixels, _resize_reference(eager, out_w, out_h))
+
+
+def _write_sequence(tmp_path, kind, count=3, h=9, w=13):
+    """raw-y8 clip or P5/P6 directory; returns (load_frames args, the 8-bit
+    samples of each frame)."""
+    rng = np.random.default_rng(17)
+    if kind == "raw-y8":
+        gray = rng.integers(0, 256, (count, h, w), dtype=np.uint8)
+        dest = tmp_path / "video.y8"
+        dest.write_bytes(gray.tobytes())
+        dest.with_name("video.y8.hdr").write_text(f"{w} {h} {count}\n")
+        return (dest, "raw-y8"), list(gray)
+    for i in range(count):
+        if kind == "P5":
+            write_pgm(tmp_path / f"f_{i:02d}.pgm", rng.integers(0, 256, (h, w), dtype=np.uint8))
+        else:
+            _write_ppm(tmp_path / f"f_{i:02d}.ppm", rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    names = sorted(p for p in tmp_path.iterdir())
+    return (tmp_path, "pgm-sequence"), [read_pnm(p) for p in names]
+
+
+@pytest.mark.parametrize("kind", ["raw-y8", "P5", "P6"])
+def test_decoded_frame_pixels_are_its_samples_over_255(tmp_path, kind):
+    args, grays = _write_sequence(tmp_path, kind)
+    frames = load_frames(*args)
+    for frame, gray in zip(frames, grays):
+        assert frame._pixels is None and np.array_equal(frame._gray, gray)
+        pixels = frame.pixels
+        _same_bits(pixels, gray.astype(np.float64) / 255.0)
+        assert frame.pixels is pixels  # computed once
+
+
+@pytest.mark.parametrize("kind", ["raw-y8", "P5", "P6"])
+def test_resizing_decoded_frame_equals_resizing_its_pixels(tmp_path, kind):
+    args, _ = _write_sequence(tmp_path, kind)
+    frames = load_frames(*args)
+    for i in range(len(frames)):
+        out = resize_bilinear(frames[i], 7, 5)  # read before pixels
+        decoded = frames[i]
+        plain = Frame(i, decoded.width, decoded.height, decoded.pixels)
+        _same_bits(out.pixels, resize_bilinear(plain, 7, 5).pixels)
+
+
+def test_caller_built_frame_keeps_its_buffer():
+    pixels = np.random.default_rng(2).random((6, 8))
+    frame = Frame(0, 8, 6, pixels)
+    assert frame.pixels is pixels
+    frame.pixels[0, :] = 1.0  # edits in place reach the resize
+    assert np.array_equal(resize_bilinear(frame, 8, 3).pixels[0], np.ones(8))
+    frame.pixels = np.zeros((6, 8), dtype=np.float32)  # stored as float64
+    assert frame.pixels.dtype == np.float64
+    with pytest.raises(ValueError):
+        frame.pixels = np.zeros((8, 6))
+    with pytest.raises(ValueError):
+        Frame(0, 8, 6, np.zeros((6, 7)))
+
+
+def test_decoded_frame_edited_after_read_resizes_the_edit(tmp_path):
+    args, _ = _write_sequence(tmp_path, "raw-y8")
+    frame = load_frames(*args)[0]
+    frame.pixels[:] = 0.25
+    assert np.array_equal(resize_bilinear(frame, 5, 4).pixels, np.full((4, 5), 0.25))
+
+
+def test_resize_plan_is_read_only():
+    corners, tx, ty = _resize_plan(640, 360, 160, 120)
+    assert corners.shape == (4, 120, 160)
+    for a in (corners, tx, ty):
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert _resize_plan(640, 360, 160, 120)[0] is corners  # cached
 
 
 # ------------------------------------------- a file that shrinks after load
