@@ -17,16 +17,22 @@ bit-identical profiles.
 
 Two solvers run the same descent. The primal one (``_fit``) iterates on
 the |A|+1 weights against the design matrix. The Gram one (``_fit_gram``)
-serves wide batches, |A| >= GRAM_MIN_RATIO * n: descent starts at zero and
-the loss gradient lies in the row span of X_A, so every iterate is
-w = X_A^T a for n coefficients a (the representer theorem), and the
-recursion runs on (a, b) against K = X_A X_A^T at O(n^2) per iteration.
-Its stopping test is still the primal infinity-norm test on the explicit
-gradient X_A^T u: the Gram norm ||g||_2 only skips that product while
-||g||_2 / sqrt(|A|+1), a lower bound on ||g||_inf, is above the tolerance.
-The two solvers therefore stop at the same iterate up to rounding, and
-the accuracy profiles they give on the shipped workloads are identical;
-the tests hold the primal route as the oracle.
+serves every batch with |A| >= GRAM_MIN_RATIO * n, that is, whenever its
+n x n system is the smaller one: descent starts at zero and the loss
+gradient lies in the row span of X_A, so every iterate is w = X_A^T a for
+n coefficients a (the representer theorem), and the recursion runs on
+(a, b) against K = X_A X_A^T at O(n^2) per iteration. Its stopping test
+is still the primal infinity-norm test, taken in three steps from the
+cheapest: the bias component |sum(resid)| must be below the tolerance,
+then the Gram norm bound ||g||_2 / sqrt(|A|+1), a lower bound on
+||g||_inf, must be too, and only then is the explicit gradient X_A^T u
+formed and its infinity norm tested. Each step can only decide "not
+converged", so an iterate stops exactly when the one-step test would
+stop it. The two solvers therefore stop at the same iterate up to
+rounding, and the accuracy profiles they give on the shipped workloads
+are identical; the tests hold the primal route as the oracle. Both
+solvers also report how many gradients they evaluated and whether they
+ran out of iterations, and ``unmask`` keeps both per loop with the route.
 
 Across the wide loops of one ``unmask`` the Gram route keeps its state
 instead of rebuilding it: a private copy of X whose eliminated columns
@@ -38,7 +44,7 @@ and its products give the full weight vector with no scatter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -48,19 +54,22 @@ from .errors import DegenerateBatchError
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
-# Shape rule for the Gram solver: |A| >= GRAM_MIN_RATIO * n. With K kept
-# and downdated across loops, a wide loop costs the Gram fit plus a
-# downdate. Timed per loop on seed-0 dense_motion batches (n=192; 2 cores,
-# OpenBLAS on one thread), primal fit against Gram fit + downdate:
-# 2241-2538 against 901-1150 + 124 us at D=500, 1085-1350 against
-# 736-1071 + 104-124 us at D=350, 519-692 against 492-879 + 111-123 us at
-# D=200. So at n=192 the crossover lies between |A| = n and 2n. At n=36
-# (cli_clip batches), where both fits are bound by per-call overhead, the
-# Gram route wins from D=400 and ties below. Over 120 captured dense_motion
-# batches unmask ran 1.03x faster at ratio 2 than at the earlier 128, over
-# the 88 non-degenerate long_stream batches (n=3..36) it was even, and the
-# profiles were identical. Every appearance loop (n=20, D=12544) is wide.
-GRAM_MIN_RATIO = 2
+# Shape rule for the Gram solver: |A| >= GRAM_MIN_RATIO * n, so a fit runs
+# in Gram space whenever its n x n system is the smaller one. Timed per loop
+# on batches captured from seed-0 passes (2 cores, OpenBLAS on one thread;
+# median of 7 calls, range over 14 batches), primal fit against Gram fit,
+# where a Gram loop also pays the downdate that precedes it:
+# - n=192 (dense_motion; downdate 130-390 us): 1436-2495 against 343-809 us
+#   at D=500, 666-1411 against 321-630 us at D=350, 404-706 against
+#   285-533 us at D=200, and 320-574 against 324-583 us at D=150, below n.
+# - n=36 (non-degenerate long_stream; downdate 13-21 us): 277-584 against
+#   190-321 us at D=400, 106-230 against 109-241 us at D=50.
+# Over the 84 batches of 120 seed-0 dense_motion frames, unmask took a
+# median 0.56 s at ratio 1 against 0.67 s at ratio 2 (five interleaved
+# passes each); over the 50 non-degenerate batches (n=6..36) of 6000
+# long_stream frames the two were even, and the profiles were identical.
+# Every appearance loop (n=20, D=12544) is wide.
+GRAM_MIN_RATIO = 1
 
 
 @dataclass
@@ -97,12 +106,17 @@ class ClassifierState:
 
     ``weights`` spans all D features and is exactly 0 outside ``active``;
     ``bias`` is never regularized and never eliminated. ``active`` is a
-    sorted int array.
+    sorted int array. ``iterations`` counts the gradient evaluations of
+    the fit, ``capped`` is set when it stopped at MAX_ITER unconverged,
+    and ``route`` names its solver, "primal" or "gram".
     """
 
     weights: np.ndarray
     bias: float
     active: np.ndarray
+    iterations: int = 0
+    capped: bool = False
+    route: str | None = None
 
 
 @dataclass
@@ -110,23 +124,35 @@ class UnmaskingProfile:
     """The k training accuracies of one unmasking run.
 
     ``active_counts[i]`` is the active-set size when loop i trained
-    (D, D-m, D-2m, ... for a non-degenerate run).
+    (D, D-m, D-2m, ... for a non-degenerate run). ``iterations``,
+    ``capped`` and ``route`` are the fit's per loop (see
+    ``ClassifierState``); a loop scored at chance without a fit records
+    0, False and None. ``unmask`` fills them; they are empty in a profile
+    built without them.
     """
 
     accuracies: np.ndarray
     active_counts: list[int]
+    iterations: list[int] = field(default_factory=list)
+    capped: list[bool] = field(default_factory=list)
+    route: list[str | None] = field(default_factory=list)
 
     def __post_init__(self):
         self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
 
 
-def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bool]:
     """Minimize mean logistic loss + (lam/2)*||w||^2 (bias unregularized).
 
     ``xb`` is the design matrix with a trailing all-ones bias column.
     Nesterov-accelerated full-batch descent from zero: step 1/L with
     L = lam + max_i ||x_i||^2 / 4 (a Lipschitz bound on the gradient) and
     constant momentum (sqrt(L/lam) - 1) / (sqrt(L/lam) + 1); lam > 0.
+    Returns the weights, the number of gradient evaluations and whether
+    the fit stopped at MAX_ITER without converging. The bias component is
+    tested before the whole gradient: it is a lower bound on the
+    infinity norm, so the fit stops exactly when the norm test alone
+    would stop it.
     """
     n, d1 = xb.shape
     lip = lam + float((xb * xb).sum(axis=1).max()) / 4.0
@@ -135,32 +161,36 @@ def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     v = w
     rk = np.sqrt(lip / lam)
     beta = (rk - 1.0) / (rk + 1.0)
-    for _ in range(MAX_ITER):
+    for it in range(1, MAX_ITER + 1):
         resid = (expit(xb @ v) - yf) / n
         g = xb.T @ resid
         g[:-1] += lam * v[:-1]
-        if np.abs(g).max() < GRAD_TOL:
-            return v
+        if abs(g[-1]) < GRAD_TOL and np.abs(g).max() < GRAD_TOL:
+            return v, it, False
         w_next = v - g / lip
         v = w_next + beta * (w_next - w)
         w = w_next
-    return w
+    return w, MAX_ITER, True
 
 
 def _fit_gram(
     gram: np.ndarray, xw: np.ndarray, dim: int, y: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    """``_fit`` in coefficient space: returns (a, b) with weights xw.T @ a.
+) -> tuple[np.ndarray, float, int, bool]:
+    """``_fit`` in coefficient space: returns (a, b, iterations, capped)
+    with weights xw.T @ a.
 
     ``xw`` is X with every column outside the active set zeroed, ``dim``
     the active-set size |A| and ``gram`` is xw @ xw.T, which ``unmask``
     keeps across loops and downdates rather than rebuilds. With
     w = xw.T @ a the primal gradient is (xw.T @ u, sum(resid)) for
     u = resid + lam * a, exactly 0 on the zeroed columns, so every step of
-    the primal recursion maps onto a and b. ||g||_2^2 = u.K.u + sum(resid)^2
-    bounds ||g||_inf from below by ||g||_2 / sqrt(|A|+1); while that bound
-    clears GRAD_TOL (with a 1e-6 relative margin for rounding) the fit
-    cannot have converged and the explicit gradient is not formed.
+    the primal recursion maps onto a and b. The stopping test runs from
+    the cheapest lower bound on ||g||_inf to the exact norm, and the fit
+    cannot have converged while any bound clears GRAD_TOL: first the bias
+    component |sum(resid)|, a scalar each iteration has anyway; then
+    ||g||_2 / sqrt(|A|+1) from ||g||_2^2 = u.K.u + sum(resid)^2 (with a
+    1e-6 relative margin for rounding); and only then the explicit
+    gradient, an n x D product.
     """
     n = xw.shape[0]
     lip = lam + (float(gram.diagonal().max()) + 1.0) / 4.0
@@ -171,19 +201,22 @@ def _fit_gram(
     a = np.zeros(n)
     b = 0.0
     av, bv = a, b
-    for _ in range(MAX_ITER):
+    for it in range(1, MAX_ITER + 1):
         resid = (expit(gram @ av + bv) - yf) / n
         u = resid + lam * av
         gb = float(resid.sum())
-        if u @ (gram @ u) + gb * gb < skip2:
-            if max(np.abs(xw.T @ u).max(), abs(gb)) < GRAD_TOL:
-                return av, bv
+        if (
+            abs(gb) < GRAD_TOL
+            and u @ (gram @ u) + gb * gb < skip2
+            and np.abs(xw.T @ u).max() < GRAD_TOL
+        ):
+            return av, bv, it, False
         a_next = av - u / lip
         b_next = bv - gb / lip
         av = a_next + beta * (a_next - a)
         bv = b_next + beta * (b_next - b)
         a, b = a_next, b_next
-    return a, b
+    return a, b, MAX_ITER, True
 
 
 def _gram_state(x: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +240,8 @@ def train_logistic(
     score of exactly 0 predicts 0. Batches with |active| >= GRAM_MIN_RATIO
     * n train in Gram space (``_fit_gram``), the rest in the primal.
     ``_gram`` is the Gram route's (xw, K) for this ``active``, kept by
-    ``unmask`` across loops; without it the state is built here.
+    ``unmask`` across loops; without it the state is built here. The
+    state also carries the fit's iteration count, cap flag and route.
     """
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
@@ -222,20 +256,23 @@ def train_logistic(
     n = batch.x.shape[0]
     if active.size >= GRAM_MIN_RATIO * n:
         xw, gram = _gram if _gram is not None else _gram_state(batch.x, active)
-        coef, bias = _fit_gram(gram, xw, active.size, batch.y, lam)
+        coef, bias, iterations, capped = _fit_gram(gram, xw, active.size, batch.y, lam)
         weights = xw.T @ coef
         scores = gram @ coef + bias
+        route = "gram"
     else:
         xb = np.empty((n, active.size + 1))
         xb[:, :-1] = batch.x[:, active]
         xb[:, -1] = 1.0
-        wb = _fit(xb, batch.y, lam)
+        wb, iterations, capped = _fit(xb, batch.y, lam)
         weights = np.zeros(batch.dim)
         weights[active] = wb[:-1]
         bias = wb[-1]
         scores = xb @ wb
+        route = "primal"
     accuracy = float(np.mean((scores > 0.0) == (batch.y == 1)))
-    return ClassifierState(weights, float(bias), active), accuracy
+    state = ClassifierState(weights, float(bias), active, iterations, capped, route)
+    return state, accuracy
 
 
 def _top(key: np.ndarray, h: int) -> np.ndarray:
@@ -300,6 +337,7 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         gram_state = _gram_state(batch.x, active)
     accuracies = np.empty(k)
     counts = []
+    iterations, capped, route = [0] * k, [False] * k, [None] * k
     for i in range(k):
         counts.append(int(active.size))
         if degenerate or active.size == 0:
@@ -307,6 +345,7 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
             continue
         state, acc = train_logistic(batch, active, lam, _gram=gram_state)
         accuracies[i] = acc
+        iterations[i], capped[i], route[i] = state.iterations, state.capped, state.route
         kept = eliminate_features(state, m)
         if gram_state is not None and kept.size >= gram_min:
             xw, gram = gram_state
@@ -319,7 +358,7 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         else:
             gram_state = None
         active = kept
-    return UnmaskingProfile(accuracies, counts)
+    return UnmaskingProfile(accuracies, counts, iterations, capped, route)
 
 
 def score(profile: UnmaskingProfile) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from videoanomaly import (
     ClassifierState,
@@ -14,7 +15,7 @@ from videoanomaly import (
     unmasking,
 )
 from videoanomaly.features import CUBE_DIM, STACK, WORK_H, WORK_W, cube_grid
-from videoanomaly.unmasking import GRAM_MIN_RATIO, UnmaskingProfile, _fit
+from videoanomaly.unmasking import GRAD_TOL, GRAM_MIN_RATIO, MAX_ITER, UnmaskingProfile
 
 
 def _separable_batch(n_per_class=10, dim=20, margin=2.0, seed=0):
@@ -55,13 +56,62 @@ def _eliminate_by_sort(state, m):
     return np.setdiff1d(active, removed, assume_unique=True)
 
 
+def _fit_reference(xb, y, lam):
+    """Reference primal fit: the infinity norm of the whole gradient is
+    taken on every iteration."""
+    n, d1 = xb.shape
+    lip = lam + float((xb * xb).sum(axis=1).max()) / 4.0
+    yf = y.astype(np.float64)
+    w = np.zeros(d1)
+    v = w
+    rk = np.sqrt(lip / lam)
+    beta = (rk - 1.0) / (rk + 1.0)
+    for it in range(1, MAX_ITER + 1):
+        resid = (expit(xb @ v) - yf) / n
+        g = xb.T @ resid
+        g[:-1] += lam * v[:-1]
+        if np.abs(g).max() < GRAD_TOL:
+            return v, it, False
+        w_next = v - g / lip
+        v = w_next + beta * (w_next - w)
+        w = w_next
+    return w, MAX_ITER, True
+
+
+def _fit_gram_reference(gram, xw, dim, y, lam):
+    """Reference Gram fit: the explicit gradient xw.T @ u is formed whenever
+    the u.K.u bound admits convergence, whatever the bias component."""
+    n = xw.shape[0]
+    lip = lam + (float(gram.diagonal().max()) + 1.0) / 4.0
+    yf = y.astype(np.float64)
+    rk = np.sqrt(lip / lam)
+    beta = (rk - 1.0) / (rk + 1.0)
+    skip2 = (GRAD_TOL * (1.0 + 1e-6)) ** 2 * (dim + 1)
+    a = np.zeros(n)
+    b = 0.0
+    av, bv = a, b
+    for it in range(1, MAX_ITER + 1):
+        resid = (expit(gram @ av + bv) - yf) / n
+        u = resid + lam * av
+        gb = float(resid.sum())
+        if u @ (gram @ u) + gb * gb < skip2:
+            if max(np.abs(xw.T @ u).max(), abs(gb)) < GRAD_TOL:
+                return av, bv, it, False
+        a_next = av - u / lip
+        b_next = bv - gb / lip
+        av = a_next + beta * (a_next - a)
+        bv = b_next + beta * (b_next - b)
+        a, b = a_next, b_next
+    return a, b, MAX_ITER, True
+
+
 def _train_primal(batch, active, lam):
     """Reference training: the primal solver on the explicit design matrix."""
     n = batch.x.shape[0]
     xb = np.empty((n, active.size + 1))
     xb[:, :-1] = batch.x[:, active]
     xb[:, -1] = 1.0
-    wb = _fit(xb, batch.y, lam)
+    wb, _, _ = _fit_reference(xb, batch.y, lam)
     weights = np.zeros(batch.dim)
     weights[active] = wb[:-1]
     accuracy = float(np.mean((xb @ wb > 0.0) == (batch.y == 1)))
@@ -114,6 +164,12 @@ def _assert_matches_primal(monkeypatch, batch, k=10, m=50, lam=0.1):
     return prof, gram_fits
 
 
+def _motion_batch(seed, n):
+    """The first n cube descriptors of a noise stack, halves labeled 0 and 1."""
+    rows, _ = cube_grid(np.random.default_rng(seed).random((STACK, WORK_H, WORK_W)))
+    return WindowBatch(rows[:n], np.r_[np.zeros(n // 2), np.ones(n - n // 2)])
+
+
 def _relu_noise_batch(n, dim, seed, shift=0.0):
     """L2-normalized rectified noise, the shape of appearance features;
     ``shift`` adds a rectified offset to the second half."""
@@ -127,15 +183,41 @@ def _relu_noise_batch(n, dim, seed, shift=0.0):
 # ----------------------------------------------------------------- training
 
 
+def _twin_halves_batch():
+    rng = np.random.default_rng(1)
+    half = rng.normal(size=(10, 30))
+    return WindowBatch(np.vstack([half, half]), np.r_[np.zeros(10), np.ones(10)])
+
+
 def test_twin_halves_sit_at_chance_exactly():
     """Identical halves cancel the gradient at the zero start, so training
     stops immediately and every loop scores exactly 0.5."""
-    rng = np.random.default_rng(1)
-    half = rng.normal(size=(10, 30))
-    batch = WindowBatch(np.vstack([half, half]), np.r_[np.zeros(10), np.ones(10)])
-    prof = unmask(batch, k=10, m=4)
+    prof = unmask(_twin_halves_batch(), k=10, m=4)
     assert np.array_equal(prof.accuracies, np.full(10, 0.5))
     assert score(prof) == 0.5
+
+
+def test_twin_halves_stop_after_one_iteration():
+    # D = 30, 26, 22 against n = 20 train in Gram space, 18 down to 2 in the
+    # primal; the last two loops find the active set empty and fit nothing
+    prof = unmask(_twin_halves_batch(), k=10, m=4)
+    assert prof.active_counts == [30, 26, 22, 18, 14, 10, 6, 2, 0, 0]
+    assert prof.route == ["gram"] * 3 + ["primal"] * 5 + [None] * 2
+    assert prof.iterations == [1] * 8 + [0] * 2
+    assert prof.capped == [False] * 10
+
+
+@pytest.mark.parametrize("dim,route", [(8, "primal"), (40, "gram")])
+def test_tiny_lambda_on_separable_data_hits_the_cap(dim, route):
+    # separable halves with almost no regularization: the weights keep
+    # growing and the gradient never drops below GRAD_TOL in MAX_ITER steps
+    batch = _separable_batch(dim=dim)
+    prof = unmask(batch, k=1, m=2, lam=1e-4)
+    assert prof.route == [route]
+    assert prof.capped == [True]
+    assert prof.iterations == [MAX_ITER]
+    state, _ = train_logistic(batch, np.arange(dim), lam=1e-4)
+    assert (state.iterations, state.capped, state.route) == (MAX_ITER, True, route)
 
 
 def test_separable_batch_trains_to_perfect_accuracy():
@@ -297,12 +379,71 @@ def test_motion_batch_matches_primal_across_the_switch(monkeypatch):
     # a dense-motion batch, 192 noise cubes against D = 500: the loops with
     # |A| >= GRAM_MIN_RATIO * n train on the downdated Gram matrix, the
     # narrower ones in the primal, and the profile is the primal oracle's
-    rows, _ = cube_grid(np.random.default_rng(14).random((STACK, WORK_H, WORK_W)))
-    batch = WindowBatch(rows, np.r_[np.zeros(96), np.ones(96)])
+    batch = _motion_batch(14, 192)
     _, gram_fits = _assert_matches_primal(monkeypatch, batch)
     dims = range(CUBE_DIM, 0, -50)
     assert gram_fits == [d for d in dims if d >= GRAM_MIN_RATIO * 192]
     assert gram_fits  # the motion shape reaches the Gram route
+
+
+def _same_bits(got, want):
+    """Tuples of arrays, floats, ints and bools, equal bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, (bool, int)):
+            assert type(g) is type(w) and g == w
+        else:
+            assert np.asarray(g, dtype=np.float64).tobytes() == np.asarray(
+                w, dtype=np.float64
+            ).tobytes()
+
+
+def _unmask_checked_fits(monkeypatch, batch, lam):
+    """unmask() with every _fit and _fit_gram call compared, on the same
+    arguments, against the reference stopping rule; returns the profile and
+    the (route, iterations) of each fit."""
+    fits = []
+    fit, fit_gram = unmasking._fit, unmasking._fit_gram
+
+    def checked_fit(xb, y, lam):
+        got = fit(xb, y, lam)
+        _same_bits(got, _fit_reference(xb, y, lam))
+        fits.append(("primal", got[1]))
+        return got
+
+    def checked_fit_gram(gram, xw, dim, y, lam):
+        got = fit_gram(gram, xw, dim, y, lam)
+        _same_bits(got, _fit_gram_reference(gram, xw, dim, y, lam))
+        fits.append(("gram", got[2]))
+        return got
+
+    monkeypatch.setattr(unmasking, "_fit", checked_fit)
+    monkeypatch.setattr(unmasking, "_fit_gram", checked_fit_gram)
+    return unmask(batch, lam=lam), fits
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize(
+    "make_batch",
+    [
+        lambda: _relu_noise_batch(20, 12544, seed=15, shift=0.05),
+        lambda: _motion_batch(16, 192),
+        lambda: _motion_batch(16, 36),
+    ],
+    ids=["appearance-20x12544", "motion-192x500", "motion-36x500"],
+)
+def test_stopping_cascade_matches_one_step_test(monkeypatch, make_batch, lam):
+    # the bias-first stopping test ends every fit at the same iterate, with
+    # the same iteration count, as testing the whole gradient's norm
+    batch = make_batch()
+    prof, fits = _unmask_checked_fits(monkeypatch, batch, lam)
+    assert len(fits) == 10
+    assert prof.route == [route for route, _ in fits]
+    assert prof.iterations == [its for _, its in fits]
+    n = batch.x.shape[0]
+    assert prof.route == [
+        "gram" if d >= GRAM_MIN_RATIO * n else "primal" for d in prof.active_counts
+    ]
 
 
 def test_batch_shape_validation():
@@ -410,6 +551,9 @@ def test_degenerate_window_scores_chance():
     batch = WindowBatch(x, np.array([0, 0, 1]))  # one abnormal example only
     prof = unmask(batch, k=4, m=2)
     assert np.array_equal(prof.accuracies, np.full(4, 0.5))
+    assert prof.iterations == [0] * 4  # no loop fits
+    assert prof.capped == [False] * 4
+    assert prof.route == [None] * 4
 
 
 def test_unmask_validates_arguments():
