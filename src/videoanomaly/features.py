@@ -7,12 +7,14 @@ Motion: frames at the 160x120 working resolution are partitioned into
 non-overlapping 10x10 patches (a 16x12 grid). Five consecutive frames
 stacked at one grid cell form a 10x10x5 spatio-temporal cube, summarized
 by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). cube_grid
-reads one stack static-first: it gates all 192 cells on the temporal
-gradient alone, then describes only the moving ones. It returns their
-L2-normalized descriptors as the rows of a (keep.sum(), 500) array, in
-row-major cell order, and the (12, 16) mask of the non-static cells; a
-static cell has no row. A BinLayout (2x2 quadrants by default) maps each
-cell to a spatial bin.
+reads one slot static-first: it gates all 192 cells on the peak temporal
+difference of the five frames, read from the frames themselves (the
+central differences are halved after the max, which is exact), then
+describes only the moving ones. A static slot returns before any stack
+or gradient is built. cube_grid returns the L2-normalized descriptors as
+the rows of a (keep.sum(), 500) array, in row-major cell order, and the
+(12, 16) mask of the non-static cells; a static cell has no row. A
+BinLayout (2x2 quadrants by default) maps each cell to a spatial bin.
 
 Appearance: a 256x13x13 activation tensor per frame is cut into four 7x7
 windows that share the center row/column, each flattened channel-major to
@@ -144,31 +146,74 @@ def _temporal_gradient(stack: np.ndarray) -> np.ndarray:
     return gt
 
 
-def cube_grid(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frames(stack) -> list[np.ndarray]:
+    """The five (120, 160) frames of ``stack``, a (5, 120, 160) array or a
+    sequence of five frames, in the inexact dtype np.stack and np.gradient
+    would give them."""
+    frames = [np.asarray(f) for f in stack]
+    shapes = [f.shape for f in frames]
+    if shapes != [(WORK_H, WORK_W)] * STACK:
+        raise ValueError(
+            f"expected a stack of {STACK} frames of {(WORK_H, WORK_W)}, got {shapes}"
+        )
+    dtype = np.result_type(*frames)
+    if not np.issubdtype(dtype, np.inexact):
+        dtype = np.float64  # np.gradient's promotion of integer input
+    return [f.astype(dtype, copy=False) for f in frames]
+
+
+def _static_gate(frames: list[np.ndarray]) -> np.ndarray:
+    """(12, 16) mask of the cells whose peak |d/dt| is >= STATIC_EPS.
+
+    The per-pixel peak of ``abs(_temporal_gradient(stack))`` over time is
+    max(|f1-f0|, |f4-f3|, 0.5 * max(|f2-f0|, |f3-f1|, |f4-f2|)). Halving
+    is exact up to the rounding of a subnormal, monotone and
+    sign-symmetric, so halving after the max gives the same bits as
+    halving each central difference. The gate reads the five frames with
+    two frame-sized buffers and builds no stack.
+    """
+    peak = np.subtract(frames[2], frames[0])
+    np.abs(peak, out=peak)
+    diff = np.empty_like(peak)
+    for t in range(2, STACK - 1):
+        np.subtract(frames[t + 1], frames[t - 1], out=diff)
+        np.abs(diff, out=diff)
+        np.maximum(peak, diff, out=peak)
+    peak *= 0.5  # the central differences, halved after the max
+    for a, b in ((0, 1), (-2, -1)):
+        np.subtract(frames[b], frames[a], out=diff)
+        np.abs(diff, out=diff)
+        np.maximum(peak, diff, out=peak)
+    # peak per pixel, then over each cell's rows and columns
+    peak = peak.reshape(GRID_H, PATCH, WORK_W).max(axis=1)
+    return peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
+
+
+def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors of the moving cells of one 5-frame stack.
 
-    ``stack`` is (5, 120, 160). Returns (rows, keep): keep is the (12, 16)
-    bool mask of non-static cells, and rows is (keep.sum(), 500), one
-    L2-normalized descriptor per kept cell in row-major cell order, so
+    ``stack`` is a (5, 120, 160) array or a sequence of five (120, 160)
+    frames. Returns (rows, keep): keep is the (12, 16) bool mask of
+    non-static cells, and rows is (keep.sum(), 500), one L2-normalized
+    descriptor per kept cell in row-major cell order, so
     ``rows[mask[keep]]`` selects the cells of any (12, 16) ``mask``. The
-    temporal gradient, the only input of the static gate, is taken once
-    on the whole stack; the spatial gradients only on the kept cells. Per
-    cell, the magnitudes are bit-identical to gradient_feature on the
-    corresponding block, and the norm is taken row-wise
-    (``np.linalg.norm(f[None], axis=-1)``).
+    static gate reads the five frames directly; a slot with no moving
+    cell returns before any stack is built. Otherwise the temporal and
+    spatial gradients are taken on the kept cells only (on the whole
+    stack when every cell is kept). Per cell, the magnitudes are
+    bit-identical to gradient_feature on the corresponding block, and the
+    norm is taken row-wise (``np.linalg.norm(f[None], axis=-1)``).
     """
-    if np.shape(stack) != (STACK, WORK_H, WORK_W):
-        raise ValueError(
-            f"expected a ({STACK}, {WORK_H}, {WORK_W}) frame stack, got {np.shape(stack)}"
-        )
-    gt = _temporal_gradient(stack)
-    np.abs(gt, out=gt)  # the gate reads |d/dt|, the magnitude only its square
-    # peak |d/dt| per pixel, then over each cell's rows and columns
-    peak = gt.max(axis=0).reshape(GRID_H, PATCH, WORK_W).max(axis=1)
-    keep = peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
-    blocks, gtb = _cells(stack), _cells(gt)
-    if not keep.all():  # gathering every cell would only copy the views
-        blocks, gtb = blocks[keep], gtb[keep]
+    frames = _frames(stack)
+    keep = _static_gate(frames)
+    if not keep.any():
+        return np.empty((0, CUBE_DIM), frames[0].dtype), keep
+    stack = np.stack(frames)
+    if keep.all():  # gathering every cell would only copy the views
+        blocks, gtb = _cells(stack), _cells(_temporal_gradient(stack))
+    else:  # time is axis 1 of the gathered (n, 5, 10, 10) blocks
+        blocks = _cells(stack)[keep]
+        gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
     rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     np.divide(rows, norms, out=rows, where=norms > 0)

@@ -44,7 +44,7 @@ from .features import (
     cube_grid,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
-from .unmasking import WindowBatch, score, unmask
+from .unmasking import CHANCE, MIN_PER_CLASS, WindowBatch, score, unmask
 
 CHANNELS = ("motion", "appearance", "fusion")
 CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
@@ -143,7 +143,7 @@ class FeatureStore:
         self.config = config
         self.frames_seen = 0
         self.extract_seconds = 0.0
-        self._bin_grid = config.bins.patch_bin_grid()
+        self.bin_grid = config.bins.patch_bin_grid()
         self._resized: dict[int, np.ndarray] = {}
         self._slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._app: dict[int, np.ndarray] = {}
@@ -176,20 +176,22 @@ class FeatureStore:
         return idx
 
     def slot(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cube grid of the 5-frame stack starting at ``start``.
+        """Cube grid of the 5 frames starting at ``start``.
 
         Returns cube_grid's (rows, keep): one L2-normalized row per
         non-static cell, in row-major cell order, and the (12,16) mask.
+        The cached frames go to cube_grid as they are, so a static slot
+        never stacks them.
         """
         cached = self._slots.get(start)
         if cached is not None:
             return cached
         t0 = time.perf_counter()
         try:
-            stack = np.stack([self._resized[start + i] for i in range(STACK)])
+            frames = [self._resized[start + i] for i in range(STACK)]
         except KeyError as exc:
             raise ValueError(f"frame {exc.args[0]} not available for slot {start}") from None
-        result = cube_grid(stack)
+        result = cube_grid(frames)
         self._slots[start] = result
         self.extract_seconds += time.perf_counter() - t0
         return result
@@ -202,7 +204,7 @@ class FeatureStore:
             raise ValueError(f"appearance features for frame {frame} not available") from None
 
     def bin_cell_mask(self, bin: int) -> np.ndarray:
-        return self._bin_grid == bin
+        return self.bin_grid == bin
 
     def evict_below(self, frame: int) -> None:
         """Drop what no window starting at ``frame`` or later can need.
@@ -411,6 +413,16 @@ class StreamingDetector:
         self._bin_scores = {ch: [] for ch in self.config.enabled_channels}
         self._accuracies = {ch: [] for ch in self.config.enabled_channels}
         self._presence = []
+        # rows shared by every window that stores nothing new: a channel's
+        # chance rows (accuracies, bin scores) and the empty presence grid
+        cfg = self.config
+        self._chance = {
+            ch: (np.full((cfg.n_bins(ch), cfg.k), CHANCE), np.full(cfg.n_bins(ch), CHANCE))
+            for ch in cfg.enabled_channels
+        }
+        self._no_presence = np.zeros(self.store.bin_grid.shape, dtype=bool)
+        for row in (self._no_presence, *(r for pair in self._chance.values() for r in pair)):
+            row.setflags(write=False)
         self.predict_seconds = 0.0
         self._next_window = 0
         self._emitted = 0
@@ -434,23 +446,46 @@ class StreamingDetector:
         return out
 
     def _close_window(self, window_id: int) -> None:
-        """Score window ``window_id`` on every (channel, bin) and append its rows."""
+        """Score window ``window_id`` on every (channel, bin) and append its rows.
+
+        A motion bin with fewer than MIN_PER_CLASS kept cubes in either
+        half is degenerate, so its row is the one unmask would give: k
+        CHANCE accuracies and bin score CHANCE. Its kept cubes are counted
+        from the slots' keep masks, and it gets no batch and no unmask
+        call. A window with no trainable bin appends the shared read-only
+        chance rows, and one with no kept cell the shared empty presence
+        grid, so a static window stores no new array.
+        """
         cfg, store = self.config, self.store
         start = window_id * cfg.stride
         window = (start, start + 2 * cfg.w)
+        todo = {ch: range(cfg.n_bins(ch)) for ch in cfg.enabled_channels}
+        if "motion" in todo:
+            keeps = np.array([store.slot(s)[1] for s in range(*window, STACK)])
+            half = cfg.w // STACK
+            counts = [  # kept cubes per bin in each half
+                np.bincount(store.bin_grid[part.nonzero()[1:]], minlength=cfg.bins.n_bins)
+                for part in (keeps[:half], keeps[half:])
+            ]
+            todo["motion"] = np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS)
+            presence = keeps.any(axis=0)
+            self._presence.append(presence if presence.any() else self._no_presence)
         batches = {
-            ch: [window_batch(window, b, ch, store) for b in range(cfg.n_bins(ch))]
-            for ch in cfg.enabled_channels
+            ch: [(b, window_batch(window, b, ch, store)) for b in bins]
+            for ch, bins in todo.items()
         }
-        if "motion" in cfg.enabled_channels:
-            keeps = [store.slot(slot_start)[1] for slot_start in range(*window, STACK)]
-            self._presence.append(np.logical_or.reduce(keeps))
         store.evict_below(start + cfg.stride)
         t0 = time.perf_counter()
         for ch, channel_batches in batches.items():
-            profiles = [unmask(batch, cfg.k, cfg.m, cfg.lam) for batch in channel_batches]
-            self._accuracies[ch].append(np.array([p.accuracies for p in profiles]))
-            self._bin_scores[ch].append(np.array([score(p) for p in profiles]))
+            accuracies, scores = self._chance[ch]
+            if channel_batches:
+                accuracies, scores = accuracies.copy(), scores.copy()
+                for b, batch in channel_batches:
+                    profile = unmask(batch, cfg.k, cfg.m, cfg.lam)
+                    accuracies[b] = profile.accuracies
+                    scores[b] = score(profile)
+            self._accuracies[ch].append(accuracies)
+            self._bin_scores[ch].append(scores)
         self.predict_seconds += time.perf_counter() - t0
 
     def _emit_upto(self, horizon: int) -> list[Emission]:

@@ -54,6 +54,9 @@ from .errors import DegenerateBatchError
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
+# a batch with fewer examples in either class is degenerate: every loop
+# records CHANCE without a fit
+MIN_PER_CLASS = 2
 # Shape rule for the Gram solver: |A| >= GRAM_MIN_RATIO * n, so a fit runs
 # in Gram space whenever its n x n system is the smaller one. Timed per loop
 # on batches captured from seed-0 passes (2 cores, OpenBLAS on one thread;
@@ -329,7 +332,7 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
     if not lam > 0:
         raise ValueError(f"regularization strength must be > 0, got {lam}")
     n0, n1 = batch.class_counts()
-    degenerate = n0 < 2 or n1 < 2
+    degenerate = n0 < MIN_PER_CLASS or n1 < MIN_PER_CLASS
     active = np.arange(batch.dim, dtype=np.intp)
     gram_min = GRAM_MIN_RATIO * (n0 + n1)
     gram_state = None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,17 @@ from videoanomaly import (
     cube_grid,
     gradient_feature,
 )
-from videoanomaly.features import STATIC_EPS, _temporal_gradient
+from videoanomaly.features import (
+    CUBE_DIM,
+    GRID_H,
+    GRID_W,
+    PATCH,
+    STATIC_EPS,
+    WORK_W,
+    _cells,
+    _gradient_magnitude,
+    _temporal_gradient,
+)
 from videoanomaly.ingest import ActivationFrame
 
 
@@ -144,6 +156,13 @@ def test_cube_grid_validates_shape():
         cube_grid(np.zeros((5, 60, 80)))
     with pytest.raises(ValueError):
         cube_grid(np.zeros((5, 120, 160, 1)))
+    # the same checks on a sequence of frames
+    with pytest.raises(ValueError):
+        cube_grid([np.zeros((120, 160))] * 4)
+    with pytest.raises(ValueError):
+        cube_grid([np.zeros((60, 80))] * 5)
+    with pytest.raises(ValueError):
+        cube_grid([np.zeros((120, 160))] * 4 + [np.zeros((120, 160, 1))])
 
 
 def _cubes_by_block(stack):
@@ -231,6 +250,121 @@ def test_temporal_gradient_matches_np_gradient_bitwise():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     ints = np.random.default_rng(1).integers(0, 256, (5, 120, 160), dtype=np.uint8)
     assert np.array_equal(_temporal_gradient(ints), np.gradient(ints, axis=0))
+
+def _cube_grid_reference(frames):
+    """Oracle for cube_grid's static gate: the stack-based cube grid,
+    which gates on ``abs(_temporal_gradient(stack)).max(axis=0)``."""
+    stack = np.stack(frames)
+    gt = _temporal_gradient(stack)
+    np.abs(gt, out=gt)
+    peak = gt.max(axis=0).reshape(GRID_H, PATCH, WORK_W).max(axis=1)
+    keep = peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
+    blocks, gtb = _cells(stack), _cells(gt)
+    if not keep.all():
+        blocks, gtb = blocks[keep], gtb[keep]
+    rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    np.divide(rows, norms, out=rows, where=norms > 0)
+    return rows, keep
+
+
+# one cell's value over the five frames, given the size d of its largest
+# temporal difference: each profile has a unique largest |d/dt| term, a
+# one-sided difference (t=0, t=4) of d or a central one (t=1..3) of d / 2
+_EPS_PROFILES = {
+    "t0": lambda d: [0.0, d, d, d, d],
+    "t1": lambda d: [0.0, 0.25 * d, d, 0.25 * d, 0.25 * d],
+    "t2": lambda d: [0.0, 0.0, 0.25 * d, d, d],
+    "t3": lambda d: [0.75 * d, 0.75 * d, 0.0, 0.75 * d, d],
+    "t4": lambda d: [0.0, 0.0, 0.0, 0.0, d],
+}
+_EPS_CASES = [
+    (f"{t}_{edge}", t, edge) for t in _EPS_PROFILES for edge in ("at", "below")
+]
+
+
+def _gate_stack(case):
+    """A (5, 120, 160) stack for the gate oracle test and its kept-cell count
+    (None where noise decides it)."""
+    rng = np.random.default_rng(17)
+    static = np.repeat(rng.random((1, 120, 160)), 5, axis=0)
+    cell = (slice(None), *_cell(5, 7))
+    if case == "noise":
+        return rng.random((5, 120, 160)), 192
+    if case == "all_static":
+        return static, 0
+    if case == "sprite":
+        return _oracle_stack("sprite"), 6
+    if case == "single_cell":
+        static[cell] = rng.random((5, 10, 10))
+        return static, 1
+    if case == "subnormal":
+        # differences of a few times the smallest subnormal, whose halving
+        # rounds, beside one moving cell
+        tiny = np.nextafter(0.0, 1.0)
+        stack = rng.integers(0, 4, (5, 120, 160)) * tiny
+        stack[cell] += rng.random((5, 10, 10))
+        return stack, 1
+    if case == "nonfinite":
+        static[(2, *_cell(0, 0))] = np.nan  # NaN: the gate never keeps it
+        static[(1, *_cell(0, 1))] = np.inf
+        static[(3, *_cell(0, 2))] = -np.inf
+        static[(slice(None), *_cell(0, 3))] = np.inf  # inf - inf = NaN
+        static[(slice(None), *_cell(1, 1))] = rng.random((5, 10, 10))
+        static[0, 15, 15] = np.nan  # a NaN voxel gates a moving cell too
+        static[(slice(None), *_cell(1, 3))] = rng.random((5, 10, 10))
+        static[2, 15, 35] = np.inf  # a moving cell with an inf voxel is kept
+        return static, 3
+    if case == "uint8":
+        stack = np.repeat(rng.integers(0, 256, (1, 120, 160), dtype=np.uint8), 5, axis=0)
+        stack[cell] = rng.integers(0, 256, (5, 10, 10), dtype=np.uint8)
+        stack[(4, *_cell(11, 15))] += 1  # a one-level step at the last frame
+        return stack, 2
+    _, t, edge = next(c for c in _EPS_CASES if c[0] == case)
+    # a one-sided difference of STATIC_EPS or a central one of 2*STATIC_EPS
+    # reaches the threshold exactly; the next float below it does not
+    d = STATIC_EPS if t in ("t0", "t4") else 2 * STATIC_EPS
+    if edge == "below":
+        d = np.nextafter(d, 0.0)
+    static[cell] = np.array(_EPS_PROFILES[t](d))[:, None, None]
+    return static, int(edge == "at")
+
+
+GATE_CASES = [
+    "noise", "all_static", "sprite", "single_cell", "subnormal", "nonfinite", "uint8",
+    *(c[0] for c in _EPS_CASES),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("case", GATE_CASES)
+@pytest.mark.parametrize("form", ["array", "list"])
+def test_cube_grid_gate_matches_stacked_reference(case, form):
+    stack, kept = _gate_stack(case)
+    rows, keep = cube_grid(stack if form == "array" else list(stack))
+    want_rows, want_keep = _cube_grid_reference(stack)
+    assert keep.dtype == want_keep.dtype and np.array_equal(keep, want_keep)
+    assert int(keep.sum()) == kept
+    assert rows.dtype == want_rows.dtype == np.float64
+    assert rows.shape == want_rows.shape == (kept, CUBE_DIM)
+    assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+
+
+def test_cube_grid_of_a_static_slot_allocates_no_stack():
+    """A static slot peaks below 0.5 MB: two frame-sized gate buffers,
+    where a (5, 120, 160) float64 stack alone is 768 KB."""
+    base = np.random.default_rng(3).random((120, 160))
+    frames = [base.copy() for _ in range(5)]
+    cube_grid(frames)  # warm up
+    tracemalloc.start()
+    try:
+        rows, keep = cube_grid(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not keep.any() and rows.shape == (0, CUBE_DIM)
+    assert peak < 500_000
+
 
 # --------------------------------------------------------------- bin layout
 

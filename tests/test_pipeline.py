@@ -24,8 +24,9 @@ from videoanomaly import (
     window_batch,
     write_scores_csv,
 )
-from videoanomaly import synth
+from videoanomaly import pipeline, synth
 from videoanomaly.features import STACK, STATIC_EPS, WORK_H, WORK_W, gradient_feature
+from videoanomaly.unmasking import score
 
 
 def _windows(starts, values, channel="motion"):
@@ -473,9 +474,122 @@ def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count
             assert result.bin_scores[ch].tolist() == means  # bit for bit
 
 
+class _UnskippedDetector(StreamingDetector):
+    """Oracle for the skipped bins: every (channel, bin) of every window
+    gets a batch and an unmask call, degenerate or not, and every window
+    stores rows of its own."""
+
+    def _close_window(self, window_id):
+        cfg, store = self.config, self.store
+        start = window_id * cfg.stride
+        window = (start, start + 2 * cfg.w)
+        batches = {
+            ch: [pipeline.window_batch(window, b, ch, store) for b in range(cfg.n_bins(ch))]
+            for ch in cfg.enabled_channels
+        }
+        if "motion" in cfg.enabled_channels:
+            keeps = [store.slot(slot_start)[1] for slot_start in range(*window, STACK)]
+            self._presence.append(np.logical_or.reduce(keeps))
+        store.evict_below(start + cfg.stride)
+        for ch, channel_batches in batches.items():
+            profiles = [pipeline.unmask(b, cfg.k, cfg.m, cfg.lam) for b in channel_batches]
+            self._accuracies[ch].append(np.array([p.accuracies for p in profiles]))
+            self._bin_scores[ch].append(np.array([score(p) for p in profiles]))
+
+
+def _placed_events(frame_count, seed=4):
+    """A static scene whose cells change at chosen slots of 5 frames.
+
+    Per slot and 2x2 bin, 0 to 3 cells of the bin change in the slot's
+    middle frame only, so exactly those cubes pass the static gate.
+    """
+    rng = np.random.default_rng(seed)
+    pixels = np.repeat(rng.random((1, WORK_H, WORK_W)), frame_count, axis=0)
+    grid = BinLayout().patch_bin_grid()
+    counts = rng.integers(0, 4, (frame_count // STACK, grid.max() + 1))
+    counts[rng.random(counts.shape) < 0.3] = 0
+    for slot, row in enumerate(counts):
+        for b, n in enumerate(row):
+            cells = rng.permutation(np.argwhere(grid == b))[:n]
+            for gy, gx in cells:
+                patch = rng.random((10, 10))
+                pixels[slot * STACK + 2, gy * 10 : gy * 10 + 10, gx * 10 : gx * 10 + 10] = patch
+    return [Frame(i, WORK_W, WORK_H, p) for i, p in enumerate(pixels)]
+
+
+def _exact(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _run_counting(detector_cls, config, frames, acts, monkeypatch):
+    """Push the stream; returns emissions, the result and the (n0, n1)
+    class counts of every unmask call."""
+    calls = []
+    real = pipeline.unmask
+
+    def counting(batch, *args):
+        calls.append(batch.class_counts())
+        return real(batch, *args)
+
+    monkeypatch.setattr(pipeline, "unmask", counting)
+    det = detector_cls(config)
+    emissions = []
+    for f, a in zip(frames, acts):
+        emissions.extend(det.push(f, a))
+    tail, result = det.finalize()
+    monkeypatch.setattr(pipeline, "unmask", real)
+    return emissions + tail, result, calls
+
+
+SKIP_STREAMS = ["placed", "static", "noise", "fusion", "stride3"]
+
+
+@pytest.mark.parametrize("stream", SKIP_STREAMS)
+def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
+    frame_count = 80
+    frames = _placed_events(frame_count)
+    if stream == "static":
+        frames = [Frame(i, WORK_W, WORK_H, frames[0].pixels) for i in range(frame_count)]
+    elif stream == "noise":
+        frames = synth.noise_video(frame_count, seed=9)
+    config = DetectorConfig(
+        k=3,
+        stride=3 if stream == "stride3" else 5,
+        channel="fusion" if stream == "fusion" else "motion",
+    )
+    acts = _mixed_activations(frame_count) if stream == "fusion" else [None] * frame_count
+    got, result, calls = _run_counting(StreamingDetector, config, frames, acts, monkeypatch)
+    want, oracle, oracle_calls = _run_counting(
+        _UnskippedDetector, config, frames, acts, monkeypatch
+    )
+    assert _bits(got) == _bits(want)
+    for ch in config.enabled_channels:
+        assert _exact(result.bin_scores[ch], oracle.bin_scores[ch])
+        assert _exact(result.accuracies[ch], oracle.accuracies[ch])
+    assert _exact(result.presence, oracle.presence)
+    assert _exact(result.windows, oracle.windows)
+    series, expected = result.series, oracle.series
+    for ch in config.enabled_channels:
+        assert _exact(series.per_bin[ch], expected.per_bin[ch])
+        assert _exact(series.per_channel[ch], expected.per_channel[ch])
+    assert _exact(series.fused, expected.fused)
+    assert _exact(series.smoothed, expected.smoothed)
+    # one unmask call per trainable bin, in the oracle's order
+    trainable = [c for c in oracle_calls if min(c) >= 2]
+    assert calls == trainable
+    if stream == "placed":
+        # some bin has exactly 0, 1 and 2 kept cubes in its emptier half
+        assert {0, 1, 2} <= {min(c) for c in oracle_calls}
+    if stream == "static":
+        assert calls == []
+    if stream == "noise":
+        assert len(calls) == len(oracle_calls) == len(result.windows) * 4
+
+
 def test_detector_memory_growth_per_frame():
-    """A detector keeps a few hundred bytes per pushed frame: one row of bin
-    scores, accuracy profiles and cube presence per closed window."""
+    """On a static scene a detector keeps a few bytes per pushed frame:
+    each closed window appends references to shared chance rows and a
+    shared empty presence grid, no arrays of its own."""
     pixels = np.random.default_rng(0).random((WORK_H, WORK_W))  # a static scene
     det = StreamingDetector()
     tracemalloc.start()
@@ -487,7 +601,7 @@ def test_detector_memory_growth_per_frame():
         growth = tracemalloc.get_traced_memory()[0] - at_1k
     finally:
         tracemalloc.stop()
-    assert growth / 2000 <= 250
+    assert growth / 2000 <= 25
 
 
 def test_streaming_emission_is_prompt():
