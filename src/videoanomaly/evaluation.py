@@ -19,6 +19,7 @@ the sweep reduces to a ROC over per-frame critical scores.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zipfile
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import AlignmentError, CapabilityError, DataError, FormatError
 from .features import APP_LAYOUT, GRID_H, GRID_W
 from .ingest import GroundTruth
-from .pipeline import DetectionResult, coverage_mean
+from .pipeline import DetectionResult, coverage_mean, gaussian_taps
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -119,13 +120,18 @@ def grid_to_pixels(grid: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.asarray(grid)[np.ix_(ys, xs)]
 
 
-def _gaussian_taps(sigma: float) -> np.ndarray:
-    radius = math.ceil(3 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    return np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+@functools.lru_cache(maxsize=8)
+def _smoothing_den(shape: tuple[int, int], sigma_px: float) -> np.ndarray:
+    """smooth_map's renormalization: the smoothed all-ones image, read-only."""
+    from scipy.ndimage import convolve1d
 
-
-_DEN_CACHE: dict = {}
+    taps = gaussian_taps(sigma_px)
+    ones = np.ones(shape)
+    den = convolve1d(
+        convolve1d(ones, taps, axis=0, mode="constant"), taps, axis=1, mode="constant"
+    )
+    den.setflags(write=False)
+    return den
 
 
 def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
@@ -136,30 +142,22 @@ def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
     repeated across the run: the pass treats each column on its own, so
     the result is bit-identical to convolving every column.
     """
-    if sigma_px < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma_px}")
+    if not 0 <= sigma_px < math.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma_px}")
     if sigma_px == 0:
         return pixels.astype(np.float64, copy=True)
     # imported here: a detection run that never smooths a map does not
     # pay the memory of loading scipy.ndimage
     from scipy.ndimage import convolve1d
 
-    taps = _gaussian_taps(sigma_px)
+    taps = gaussian_taps(sigma_px)
     pixels = pixels.astype(np.float64)
     bits = pixels.view(np.uint64)
     firsts = np.flatnonzero(np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)])
     runs = np.diff(np.r_[firsts, pixels.shape[1]])
     cols = convolve1d(pixels[:, firsts], taps, axis=0, mode="constant")
     num = convolve1d(np.repeat(cols, runs, axis=1), taps, axis=1, mode="constant")
-    key = (pixels.shape, float(sigma_px))
-    den = _DEN_CACHE.get(key)
-    if den is None:
-        ones = np.ones(pixels.shape)
-        den = convolve1d(
-            convolve1d(ones, taps, axis=0, mode="constant"), taps, axis=1, mode="constant"
-        )
-        _DEN_CACHE[key] = den
-    return num / den
+    return num / _smoothing_den(pixels.shape, float(sigma_px))
 
 
 def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarray:

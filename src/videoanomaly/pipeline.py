@@ -1,12 +1,14 @@
 """End-to-end online anomaly detector.
 
 The detector slides a 2w-frame window over the stream with stride s. Per
-window it builds labeled example batches for every (bin, channel) pair
-(first half labeled 0, second half 1), runs the unmasking loop on each,
-and assigns the resulting scores to the frames of the window's second
-half. Per-frame aggregation averages over all covering windows, takes the
-max over spatial bins, averages the enabled channels (late fusion), and
-smooths temporally with a truncated-renormalized Gaussian.
+window and channel, window_batch builds the labeled examples (first half
+labeled 0, second half 1) of every spatial bin with at least
+MIN_PER_CLASS examples in each half; the unmasking loop scores each of
+those bins, and every other bin scores chance without a fit. The bin
+scores go to the frames of the window's second half. Per-frame
+aggregation averages over all covering windows, takes the max over
+spatial bins, averages the enabled channels (late fusion), and smooths
+temporally with a truncated-renormalized Gaussian.
 
 Scores are final as soon as every window covering a frame has closed, so
 the detector emits them online with bounded lookahead: at the close of
@@ -35,7 +37,6 @@ from .errors import (
 )
 from .features import (
     APP_LAYOUT,
-    CUBE_DIM,
     STACK,
     WORK_H,
     WORK_W,
@@ -79,10 +80,10 @@ class DetectorConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.m < 2 or self.m % 2:
             raise ValueError(f"m must be even and >= 2, got {self.m}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if self.smooth_sigma < 0:
-            raise ValueError(f"smooth-sigma must be >= 0, got {self.smooth_sigma}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        if not 0 <= self.smooth_sigma < math.inf:
+            raise ValueError(f"smooth-sigma must be >= 0 and finite, got {self.smooth_sigma}")
         if "motion" in self.enabled_channels and self.w % STACK:
             raise ValueError(
                 f"w must be a multiple of {STACK} for the motion channel "
@@ -203,9 +204,6 @@ class FeatureStore:
         except KeyError:
             raise ValueError(f"appearance features for frame {frame} not available") from None
 
-    def bin_cell_mask(self, bin: int) -> np.ndarray:
-        return self.bin_grid == bin
-
     def evict_below(self, frame: int) -> None:
         """Drop what no window starting at ``frame`` or later can need.
 
@@ -230,40 +228,45 @@ class FeatureStore:
 
 
 def window_batch(
-    window: tuple[int, int], bin: int, channel: str, store: FeatureStore
-) -> WindowBatch:
-    """Labeled examples of one (window, bin, channel) triple.
+    window: tuple[int, int], channel: str, store: FeatureStore
+) -> dict[int, WindowBatch]:
+    """Labeled examples of every bin of one window that can train.
 
-    Motion examples are the surviving cubes of the non-overlapping 5-frame
-    slots tiling the window (aligned to its start), labeled by the half
-    the slot starts in. Appearance examples are the per-frame bin vectors,
-    labeled by the frame's half.
+    Returns {bin: WindowBatch} in ascending bin order, holding exactly the
+    bins with at least MIN_PER_CLASS examples in each half; any other bin
+    is degenerate and scores CHANCE without a batch. Examples are labeled
+    by half, first half 0: a batch holds its first-half examples, then its
+    second-half ones. Motion examples are the surviving cubes of the
+    non-overlapping 5-frame slots tiling the window (aligned to its
+    start), slot by slot in row-major cell order, labeled by the half the
+    slot starts in. Appearance examples are the per-frame bin vectors, so
+    every bin trains exactly when w >= MIN_PER_CLASS.
     """
     start, end = window
     w = (end - start) // 2
+    n_bins = store.config.n_bins(channel)
     if channel == "motion":
-        xs, ys = [], []
-        mask = store.bin_cell_mask(bin)
-        for slot_start in range(start, end, STACK):
-            rows, keep = store.slot(slot_start)
-            cell = mask[keep]
-            if cell.any():
-                xs.append(rows[cell])
-                ys.append(
-                    np.full(int(cell.sum()), 0 if slot_start - start < w else 1, np.uint8)
-                )
-        if xs:
-            x = np.concatenate(xs)
-            y = np.concatenate(ys)
+        slots = [store.slot(s) for s in range(start, end, STACK)]
+        cell_bins = [store.bin_grid[keep] for _, keep in slots]  # bin of each row
+        half = w // STACK
+        counts = [  # examples per bin in each half
+            np.bincount(np.concatenate(part), minlength=n_bins)
+            for part in (cell_bins[:half], cell_bins[half:])
+        ]
+    elif channel == "appearance":
+        vectors = [store.appearance(f) for f in range(start, end)]
+        counts = [np.full(n_bins, w)] * 2
+    else:
+        raise ValueError(f"unknown channel {channel!r}")
+    batches = {}
+    for b in np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS).tolist():
+        if channel == "motion":
+            x = np.concatenate([rows[cells == b] for (rows, _), cells in zip(slots, cell_bins)])
         else:
-            x = np.empty((0, CUBE_DIM))
-            y = np.empty(0, np.uint8)
-        return WindowBatch(x, y)
-    if channel == "appearance":
-        x = np.stack([store.appearance(f)[bin] for f in range(start, end)])
-        y = (np.arange(start, end) - start >= w).astype(np.uint8)
-        return WindowBatch(x, y)
-    raise ValueError(f"unknown channel {channel!r}")
+            x = np.stack([v[b] for v in vectors])
+        y = np.repeat(np.arange(2, dtype=np.uint8), (counts[0][b], counts[1][b]))
+        batches[b] = WindowBatch(x, y)
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +313,14 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
     return (sums / np.maximum(counts, 1)[:, None])[pick]
 
 
+def gaussian_taps(sigma: float) -> np.ndarray:
+    """Unnormalized Gaussian taps exp(-t^2 / (2 sigma^2)) at the integer
+    offsets t in [-r, r], r = ceil(3*sigma); sigma > 0."""
+    radius = math.ceil(3 * sigma)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    return np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+
+
 def smooth(series, sigma: float) -> np.ndarray:
     """Temporal Gaussian smoothing, truncated and renormalized at borders.
 
@@ -317,13 +328,12 @@ def smooth(series, sigma: float) -> np.ndarray:
     clamped to [0,1] (a no-op for in-range input, by kernel normalization).
     """
     x = np.asarray(series, dtype=np.float64)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     if sigma == 0 or x.size == 0:
         return x.copy()
-    radius = math.ceil(3 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    taps = gaussian_taps(sigma)
+    radius = taps.size // 2
     num = np.convolve(x, taps)[radius : radius + x.size]
     den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
     return np.clip(num / den, 0.0, 1.0)
@@ -448,45 +458,33 @@ class StreamingDetector:
     def _close_window(self, window_id: int) -> None:
         """Score window ``window_id`` on every (channel, bin) and append its rows.
 
-        A motion bin with fewer than MIN_PER_CLASS kept cubes in either
-        half is degenerate, so its row is the one unmask would give: k
-        CHANCE accuracies and bin score CHANCE. Its kept cubes are counted
-        from the slots' keep masks, and it gets no batch and no unmask
-        call. A window with no trainable bin appends the shared read-only
-        chance rows, and one with no kept cell the shared empty presence
-        grid, so a static window stores no new array.
+        window_batch gives the bins that can train; unmask scores each of
+        them. Every other bin is degenerate, so its row is the one unmask
+        would give, k CHANCE accuracies and bin score CHANCE, without a
+        fit. A channel with no trainable bin appends the shared read-only
+        chance rows, and a window with no kept cell the shared empty
+        presence grid, so a static window stores no new array.
         """
         cfg, store = self.config, self.store
         start = window_id * cfg.stride
         window = (start, start + 2 * cfg.w)
-        todo = {ch: range(cfg.n_bins(ch)) for ch in cfg.enabled_channels}
-        if "motion" in todo:
-            keeps = np.array([store.slot(s)[1] for s in range(*window, STACK)])
-            half = cfg.w // STACK
-            counts = [  # kept cubes per bin in each half
-                np.bincount(store.bin_grid[part.nonzero()[1:]], minlength=cfg.bins.n_bins)
-                for part in (keeps[:half], keeps[half:])
-            ]
-            todo["motion"] = np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS)
-            presence = keeps.any(axis=0)
-            self._presence.append(presence if presence.any() else self._no_presence)
-        batches = {
-            ch: [(b, window_batch(window, b, ch, store)) for b in bins]
-            for ch, bins in todo.items()
-        }
-        store.evict_below(start + cfg.stride)
-        t0 = time.perf_counter()
-        for ch, channel_batches in batches.items():
+        for ch in cfg.enabled_channels:
+            batches = window_batch(window, ch, store)
             accuracies, scores = self._chance[ch]
-            if channel_batches:
+            if batches:
+                t0 = time.perf_counter()
                 accuracies, scores = accuracies.copy(), scores.copy()
-                for b, batch in channel_batches:
+                for b, batch in batches.items():
                     profile = unmask(batch, cfg.k, cfg.m, cfg.lam)
                     accuracies[b] = profile.accuracies
                     scores[b] = score(profile)
+                self.predict_seconds += time.perf_counter() - t0
             self._accuracies[ch].append(accuracies)
             self._bin_scores[ch].append(scores)
-        self.predict_seconds += time.perf_counter() - t0
+        if "motion" in cfg.enabled_channels:
+            presence = np.logical_or.reduce([store.slot(s)[1] for s in range(*window, STACK)])
+            self._presence.append(presence if presence.any() else self._no_presence)
+        store.evict_below(start + cfg.stride)
 
     def _emit_upto(self, horizon: int) -> list[Emission]:
         """Emit frames [emitted, horizon), all of whose windows have closed.

@@ -249,8 +249,8 @@ def train_logistic(
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
         raise ValueError("active feature set is empty")
-    if not lam > 0:
-        raise ValueError(f"regularization strength must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"regularization strength must be > 0 and finite, got {lam}")
     n0, n1 = batch.class_counts()
     if n0 == 0 or n1 == 0:
         raise DegenerateBatchError(
@@ -329,8 +329,8 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
-    if not lam > 0:
-        raise ValueError(f"regularization strength must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"regularization strength must be > 0 and finite, got {lam}")
     n0, n1 = batch.class_counts()
     degenerate = n0 < MIN_PER_CLASS or n1 < MIN_PER_CLASS
     active = np.arange(batch.dim, dtype=np.intp)

@@ -311,6 +311,17 @@ def test_run_zero_lambda_exit_2(video, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--smooth-sigma", "inf"), ("--smooth-sigma", "nan"), ("--lambda", "inf")]
+)
+def test_run_non_finite_parameter_exit_2(video, tmp_path, capsys, flag, value):
+    rc, out = _run(video, tmp_path, flag, value)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"ValueError: {flag[2:]} must be" in err and "finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- eval
 
 
@@ -441,6 +452,20 @@ def test_eval_pixel_without_maps_exit_2(video, tmp_path, capsys):
                "--level", "pixel", "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "--maps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_eval_pixel_non_finite_sigma_exit_2(video, tmp_path, capsys, value):
+    maps = tmp_path / "maps.npz"
+    _, scores = _run(video, tmp_path, "--maps-out", str(maps))
+    capsys.readouterr()
+    report = tmp_path / "pixel.json"
+    rc = main(["eval", "--scores", str(scores), "--gt", str(video["masks"]),
+               "--level", "pixel", "--maps", str(maps), "--sigma-px", value,
+               "--out", str(report)])
+    assert rc == 2
+    assert "ValueError: sigma must be >= 0 and finite" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_eval_pixel_without_masks_exit_2(video, tmp_path, capsys):

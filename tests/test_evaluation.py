@@ -22,7 +22,7 @@ from videoanomaly import (
     smooth_map,
     write_maps_npz,
 )
-from videoanomaly import synth
+from videoanomaly import evaluation, synth
 
 
 # ---------------------------------------------------------------- frame AUC
@@ -192,6 +192,26 @@ def test_smooth_map_constant_and_zero_sigma():
     out = smooth_map(pixels, 0.0)
     assert np.array_equal(out, pixels)
     assert out is not pixels
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("inf"), float("nan")])
+def test_smooth_map_rejects_negative_and_non_finite_sigma(sigma):
+    with pytest.raises(ValueError):
+        smooth_map(np.zeros((10, 12)), sigma)
+
+
+def test_smooth_map_denominator_cache_is_bounded_and_read_only():
+    """One full-size denominator per (shape, sigma) is cached, at most 8
+    of them, so new mask shapes do not grow the process."""
+    evaluation._smoothing_den.cache_clear()
+    for i in range(20):
+        smooth_map(np.zeros((10 + i, 12)), 2.0)
+    info = evaluation._smoothing_den.cache_info()
+    assert info.misses == 20
+    assert info.currsize <= 8
+    den = evaluation._smoothing_den((29, 12), 2.0)
+    assert evaluation._smoothing_den.cache_info().hits == 1
+    assert not den.flags.writeable
 
 
 # ------------------------------------------------------------ score maps

@@ -25,8 +25,15 @@ from videoanomaly import (
     write_scores_csv,
 )
 from videoanomaly import pipeline, synth
-from videoanomaly.features import STACK, STATIC_EPS, WORK_H, WORK_W, gradient_feature
-from videoanomaly.unmasking import score
+from videoanomaly.features import (
+    CUBE_DIM,
+    STACK,
+    STATIC_EPS,
+    WORK_H,
+    WORK_W,
+    gradient_feature,
+)
+from videoanomaly.unmasking import MIN_PER_CLASS, WindowBatch, score
 
 
 def _windows(starts, values, channel="motion"):
@@ -67,7 +74,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(lam=0)
     with pytest.raises(ValueError):
+        DetectorConfig(lam=float("inf"))
+    with pytest.raises(ValueError):
+        DetectorConfig(lam=float("nan"))
+    with pytest.raises(ValueError):
         DetectorConfig(smooth_sigma=-1)
+    with pytest.raises(ValueError):
+        DetectorConfig(smooth_sigma=float("inf"))
+    with pytest.raises(ValueError):
+        DetectorConfig(smooth_sigma=float("nan"))
     with pytest.raises(ValueError):
         DetectorConfig(channel="audio")
 
@@ -92,7 +107,7 @@ def test_window_batch_motion_counts_and_labels():
     store = FeatureStore(config)
     for f in synth.noise_video(20, seed=0):
         store.add(f, None)
-    batch = window_batch((0, 20), 0, "motion", store)
+    batch = window_batch((0, 20), "motion", store)[0]
     # dense noise: 4 stacks x 48 cells in the bin, half labeled 0, half 1
     assert batch.x.shape == (192, 500)
     assert batch.class_counts() == (96, 96)
@@ -104,7 +119,7 @@ def test_window_batch_appearance_counts():
     store = FeatureStore(config)
     for a in synth.noise_activations(20, seed=0):
         store.add(None, a)
-    batch = window_batch((0, 20), 2, "appearance", store)
+    batch = window_batch((0, 20), "appearance", store)[2]
     assert batch.x.shape == (20, 12544)
     assert batch.class_counts() == (10, 10)
 
@@ -138,7 +153,7 @@ def test_store_keeps_no_rows_for_static_slots():
         rows, keep = store.slot(start)
         assert not keep.any()
         assert rows.shape == (0, 500)
-    assert window_batch((0, 20), 0, "motion", store).x.shape == (0, 500)
+    assert window_batch((0, 20), "motion", store) == {}
 
 
 def test_store_drops_resized_frames_once_their_slots_are_cached():
@@ -178,7 +193,7 @@ def test_store_holds_only_uncached_slot_frames_at_stride_3():
 def test_window_batch_motion_selects_kept_cells_of_its_bin():
     """A sprite moving over a static background in bin 1 (top-right):
     bin 1's examples are the per-block descriptors of its moving cells,
-    slot by slot in row-major cell order; the other bins get none."""
+    slot by slot in row-major cell order; the other bins get no batch."""
     rng = np.random.default_rng(4)
     pixels = np.repeat(rng.random((1, WORK_H, WORK_W)), 20, axis=0)
     for t in range(20):
@@ -196,12 +211,11 @@ def test_window_batch_motion_selects_kept_cells_of_its_bin():
                     f = gradient_feature(block.transpose(1, 2, 0))
                     expected.append(f / np.linalg.norm(f[None], axis=-1))
                     labels.append(int(slot >= 10))
-    batch = window_batch((0, 20), 1, "motion", store)
+    batches = window_batch((0, 20), "motion", store)
     assert len(expected) > 4
-    assert np.array_equal(batch.x, np.stack(expected))
-    assert batch.y.tolist() == labels
-    for b in (0, 2, 3):
-        assert window_batch((0, 20), b, "motion", store).x.shape == (0, 500)
+    assert np.array_equal(batches[1].x, np.stack(expected))
+    assert batches[1].y.tolist() == labels
+    assert list(batches) == [1]
 
 
 # -------------------------------------------------------------- aggregation
@@ -277,8 +291,9 @@ def test_smooth_sigma_zero_is_identity():
 
 
 def test_smooth_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        smooth(np.zeros(5), -1.0)
+    for sigma in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            smooth(np.zeros(5), sigma)
 
 
 # ------------------------------------------------------------ batch running
@@ -474,6 +489,37 @@ def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count
             assert result.bin_scores[ch].tolist() == means  # bit for bit
 
 
+def _window_batch_reference(window, bin, channel, store):
+    """The examples of one (window, bin, channel) triple, built bin by
+    bin: the oracle of window_batch. A bin with no example gets an empty
+    (0, 500) batch."""
+    start, end = window
+    w = (end - start) // 2
+    if channel == "motion":
+        xs, ys = [], []
+        mask = store.bin_grid == bin
+        for slot_start in range(start, end, STACK):
+            rows, keep = store.slot(slot_start)
+            cell = mask[keep]
+            if cell.any():
+                xs.append(rows[cell])
+                ys.append(
+                    np.full(int(cell.sum()), 0 if slot_start - start < w else 1, np.uint8)
+                )
+        if xs:
+            x = np.concatenate(xs)
+            y = np.concatenate(ys)
+        else:
+            x = np.empty((0, CUBE_DIM))
+            y = np.empty(0, np.uint8)
+        return WindowBatch(x, y)
+    if channel == "appearance":
+        x = np.stack([store.appearance(f)[bin] for f in range(start, end)])
+        y = (np.arange(start, end) - start >= w).astype(np.uint8)
+        return WindowBatch(x, y)
+    raise ValueError(f"unknown channel {channel!r}")
+
+
 class _UnskippedDetector(StreamingDetector):
     """Oracle for the skipped bins: every (channel, bin) of every window
     gets a batch and an unmask call, degenerate or not, and every window
@@ -484,7 +530,7 @@ class _UnskippedDetector(StreamingDetector):
         start = window_id * cfg.stride
         window = (start, start + 2 * cfg.w)
         batches = {
-            ch: [pipeline.window_batch(window, b, ch, store) for b in range(cfg.n_bins(ch))]
+            ch: [_window_batch_reference(window, b, ch, store) for b in range(cfg.n_bins(ch))]
             for ch in cfg.enabled_channels
         }
         if "motion" in cfg.enabled_channels:
@@ -541,23 +587,74 @@ def _run_counting(detector_cls, config, frames, acts, monkeypatch):
     return emissions + tail, result, calls
 
 
-SKIP_STREAMS = ["placed", "static", "noise", "fusion", "stride3"]
+def _stream(name, frame_count):
+    """(config, frames, activations) of a named test stream: placed cell
+    changes (see _placed_events) under the default detector at k=3,
+    unless the name changes the frames or the config."""
+    frames = _placed_events(frame_count)
+    options = {"k": 3}
+    if name == "static":
+        frames = [Frame(i, WORK_W, WORK_H, frames[0].pixels) for i in range(frame_count)]
+    elif name == "noise":
+        frames = synth.noise_video(frame_count, seed=9)
+    elif name == "fusion":
+        options["channel"] = "fusion"
+    elif name == "stride3":
+        options["stride"] = 3
+    elif name == "w5":
+        options["w"] = 5
+    elif name == "bins3x4":
+        options["bins"] = BinLayout(3, 4)
+    elif name == "appearance_w1":
+        options.update(w=1, stride=1, channel="appearance")
+    config = DetectorConfig(**options)
+    if "appearance" in config.enabled_channels:
+        acts = _mixed_activations(frame_count)
+    else:
+        acts = [None] * frame_count
+    return config, frames, acts
+
+
+BATCH_STREAMS = ["placed", "static", "noise", "fusion", "stride3", "w5", "bins3x4",
+                 "appearance_w1"]
+
+
+@pytest.mark.parametrize("stream", BATCH_STREAMS)
+def test_window_batch_matches_per_bin_reference(stream):
+    """For every window and channel, window_batch holds exactly the bins
+    whose reference batch has MIN_PER_CLASS examples of each class, in
+    ascending order, and each batch equals the reference bit for bit."""
+    config, frames, acts = _stream(stream, 80)
+    store = FeatureStore(config)
+    for f, a in zip(frames, acts):
+        store.add(f, a)
+    emptier_halves = set()
+    for window in plan_windows(store.frames_seen, config.w, config.stride):
+        for ch in config.enabled_channels:
+            want = [
+                _window_batch_reference(window, b, ch, store) for b in range(config.n_bins(ch))
+            ]
+            emptier_halves |= {min(batch.class_counts()) for batch in want}
+            trainable = [
+                b for b, batch in enumerate(want) if min(batch.class_counts()) >= MIN_PER_CLASS
+            ]
+            got = window_batch(window, ch, store)
+            assert list(got) == trainable
+            for b, batch in got.items():
+                assert _exact(batch.x, want[b].x)
+                assert _exact(batch.y, want[b].y)
+    if stream == "placed":
+        assert {0, 1, 2, 3} <= emptier_halves
+    if stream == "appearance_w1":
+        assert emptier_halves == {1}
+
+
+SKIP_STREAMS = ["placed", "static", "noise", "fusion", "stride3", "appearance_w1"]
 
 
 @pytest.mark.parametrize("stream", SKIP_STREAMS)
 def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
-    frame_count = 80
-    frames = _placed_events(frame_count)
-    if stream == "static":
-        frames = [Frame(i, WORK_W, WORK_H, frames[0].pixels) for i in range(frame_count)]
-    elif stream == "noise":
-        frames = synth.noise_video(frame_count, seed=9)
-    config = DetectorConfig(
-        k=3,
-        stride=3 if stream == "stride3" else 5,
-        channel="fusion" if stream == "fusion" else "motion",
-    )
-    acts = _mixed_activations(frame_count) if stream == "fusion" else [None] * frame_count
+    config, frames, acts = _stream(stream, 80)
     got, result, calls = _run_counting(StreamingDetector, config, frames, acts, monkeypatch)
     want, oracle, oracle_calls = _run_counting(
         _UnskippedDetector, config, frames, acts, monkeypatch
@@ -566,7 +663,10 @@ def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
     for ch in config.enabled_channels:
         assert _exact(result.bin_scores[ch], oracle.bin_scores[ch])
         assert _exact(result.accuracies[ch], oracle.accuracies[ch])
-    assert _exact(result.presence, oracle.presence)
+    if stream == "appearance_w1":
+        assert result.presence is oracle.presence is None
+    else:
+        assert _exact(result.presence, oracle.presence)
     assert _exact(result.windows, oracle.windows)
     series, expected = result.series, oracle.series
     for ch in config.enabled_channels:
@@ -584,6 +684,8 @@ def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
         assert calls == []
     if stream == "noise":
         assert len(calls) == len(oracle_calls) == len(result.windows) * 4
+    if stream == "appearance_w1":
+        assert calls == [] and len(oracle_calls) == len(result.windows) * 4
 
 
 def test_detector_memory_growth_per_frame():

@@ -276,7 +276,7 @@ def test_empty_active_set_raises():
 
 def test_nonpositive_lambda_raises():
     batch = _separable_batch()
-    for lam in (0.0, -0.1, float("nan")):
+    for lam in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             train_logistic(batch, np.arange(batch.dim), lam=lam)
         with pytest.raises(ValueError):
