@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,14 +9,18 @@ from scipy.special import expit
 from videoanomaly import (
     ClassifierState,
     DegenerateBatchError,
+    DetectorConfig,
+    FeatureStore,
     WindowBatch,
     eliminate_features,
     score,
+    synth,
     train_logistic,
     unmask,
     unmasking,
 )
 from videoanomaly.features import CUBE_DIM, STACK, WORK_H, WORK_W, cube_grid
+from videoanomaly.pipeline import window_batch
 from videoanomaly.unmasking import GRAD_TOL, GRAM_MIN_RATIO, MAX_ITER, UnmaskingProfile
 
 
@@ -67,7 +73,7 @@ def _fit_reference(xb, y, lam):
     rk = np.sqrt(lip / lam)
     beta = (rk - 1.0) / (rk + 1.0)
     for it in range(1, MAX_ITER + 1):
-        resid = (expit(xb @ v) - yf) / n
+        resid = (unmasking._sigmoid(xb @ v) - yf) / n
         g = xb.T @ resid
         g[:-1] += lam * v[:-1]
         if np.abs(g).max() < GRAD_TOL:
@@ -91,7 +97,7 @@ def _fit_gram_reference(gram, xw, dim, y, lam):
     b = 0.0
     av, bv = a, b
     for it in range(1, MAX_ITER + 1):
-        resid = (expit(gram @ av + bv) - yf) / n
+        resid = (unmasking._sigmoid(gram @ av + bv) - yf) / n
         u = resid + lam * av
         gb = float(resid.sum())
         if u @ (gram @ u) + gb * gb < skip2:
@@ -220,6 +226,22 @@ def test_tiny_lambda_on_separable_data_hits_the_cap(dim, route):
     assert (state.iterations, state.capped, state.route) == (MAX_ITER, True, route)
 
 
+@pytest.mark.parametrize("dim,route", [(8, "primal"), (40, "gram")])
+def test_saturated_fit_raises_no_overflow_warning(dim, route):
+    # scaled separable rows drive training scores past -710, where the
+    # sigmoid's exp(-z) overflows to inf and gives exactly 0, as expit does;
+    # the fit must say nothing about it
+    batch = _separable_batch(dim=dim, margin=10.0)
+    batch.x *= 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = unmask(batch, k=1, m=2, lam=1e-4)
+        state, acc = train_logistic(batch, np.arange(dim), lam=1e-4)
+    assert prof.route == [route] and prof.capped == [True]
+    scores = batch.x @ state.weights + state.bias
+    assert scores.min() < -710.0 and acc == 1.0
+
+
 def test_separable_batch_trains_to_perfect_accuracy():
     batch = _separable_batch()
     state, acc = train_logistic(batch, np.arange(batch.dim), lam=0.1)
@@ -345,12 +367,16 @@ def test_gram_fit_matches_primal_weights(lam):
     assert np.all(state.weights[:40] == 0.0)
 
 
-def test_gram_path_matches_primal_on_planted_feature(monkeypatch):
+def _planted_batch():
+    """Three strongly separating features planted among 2997 noise ones."""
     rng = np.random.default_rng(11)
     x = rng.normal(0.0, 0.3, (20, 3000))
     x[:, :3] += np.r_[np.full(10, -1.0), np.full(10, 1.0)][:, None]
-    batch = WindowBatch(x, np.r_[np.zeros(10), np.ones(10)])
-    prof, gram_fits = _assert_matches_primal(monkeypatch, batch, k=6, m=2)
+    return WindowBatch(x, np.r_[np.zeros(10), np.ones(10)])
+
+
+def test_gram_path_matches_primal_on_planted_feature(monkeypatch):
+    prof, gram_fits = _assert_matches_primal(monkeypatch, _planted_batch(), k=6, m=2)
     assert len(gram_fits) == 6
     assert prof.accuracies[0] == 1.0
 
@@ -444,6 +470,68 @@ def test_stopping_cascade_matches_one_step_test(monkeypatch, make_batch, lam):
     assert prof.route == [
         "gram" if d >= GRAM_MIN_RATIO * n else "primal" for d in prof.active_counts
     ]
+
+
+# ---------------------------------------------- sigmoid against scipy's expit
+
+
+def _ulps(got, want):
+    """Distance in units in the last place between non-negative floats."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def test_sigmoid_is_within_3_ulp_of_expit():
+    rng = np.random.default_rng(17)
+    z = np.concatenate([rng.normal(0.0, 5.0, 500_000), rng.uniform(-740.0, 740.0, 500_000)])
+    with np.errstate(over="ignore"):
+        got = unmasking._sigmoid(z)
+    assert _ulps(got, expit(z)).max() <= 3
+
+
+def test_sigmoid_equals_expit_at_special_values_and_saturation():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 36.8, 40.0, 745.0, 800.0,
+                  -709.8, -710.0, -745.0, -800.0, -1e308])
+    with np.errstate(over="ignore"):
+        got = unmasking._sigmoid(z)
+    assert got.tobytes() == expit(z).tobytes()
+    assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and np.isnan(got[4])
+    assert np.all(got[5:9] == 1.0) and np.all(got[10:] == 0.0)
+
+
+def _event_batch():
+    """Bin 0 of a moving-block window whose second half speeds up: a
+    partly separable batch (accuracies between 0.5 and 1)."""
+    store = FeatureStore(DetectorConfig())
+    for frame in synth.moving_block_video(frame_count=80, fast_range=(60, 80))[0]:
+        store.add(frame, None)
+    return window_batch((50, 70), "motion", store)[0]
+
+
+@pytest.mark.parametrize(
+    "make_batch",
+    [
+        lambda: _motion_batch(18, 192),
+        lambda: _motion_batch(18, 36),
+        lambda: _relu_noise_batch(20, 12544, seed=19, shift=0.05),
+        _planted_batch,
+        _event_batch,
+    ],
+    ids=["motion-192x500", "motion-36x500", "appearance-20x12544", "planted", "event"],
+)
+def test_unmask_with_expit_matches_numpy_sigmoid(monkeypatch, make_batch):
+    # the package's sigmoid may differ from scipy's expit in the last bits;
+    # the profiles it gives must not
+    batch = make_batch()
+    got = unmask(batch)
+    # both fits reach the sigmoid through _sigmoid_of_neg(t) = sigma(-t)
+    monkeypatch.setattr(unmasking, "_sigmoid_of_neg", lambda t: expit(-t))
+    want = unmask(batch)
+    assert np.array_equal(got.accuracies, want.accuracies)
+    assert got.active_counts == want.active_counts
+    assert (got.iterations, got.capped, got.route) == (
+        want.iterations, want.capped, want.route)
+    if make_batch is _event_batch:
+        assert 0.5 < score(got) < 1.0
 
 
 def test_batch_shape_validation():
