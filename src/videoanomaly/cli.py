@@ -5,10 +5,11 @@ too-short streams, missing capabilities); 3 data-level problems (bad file
 formats, truncation, NaN payloads, ordering or alignment mismatches).
 Errors are reported as a single machine-parsable line on stderr.
 
-Configuration can come from flags or from a flat key=value file
-(--config); flags override the file, the file overrides defaults, and the
-keys are spelled exactly like the long flags (w, stride, k, m, lambda,
-smooth-sigma, bins, channel).
+``run`` and ``bench`` share their inputs and the detector parameters of
+``CONFIG_KEYS``, the one table that spells each as a flag and as a key of
+a flat key=value file (--config) and parses it from either. Flags
+override the file, the file overrides defaults, and inputs are validated
+before any parameter is parsed, so a data error is reported first.
 """
 
 from __future__ import annotations
@@ -45,32 +46,40 @@ from .pipeline import (
 ARGUMENT_ERRORS = (ValueError, StreamTooShortError, CapabilityError)
 DATA_ERRORS = (FormatError, DataError, OrderingError, AlignmentError, OSError)
 
-# config file key -> (parser, DetectorConfig attribute)
+# The detector's parameters. key (spelled the same as a flag and in a
+# --config file) -> (parser, DetectorConfig attribute, help)
 CONFIG_KEYS = {
-    "w": (int, "w"),
-    "stride": (int, "stride"),
-    "k": (int, "k"),
-    "m": (int, "m"),
-    "lambda": (float, "lam"),
-    "smooth-sigma": (float, "smooth_sigma"),
-    "bins": (BinLayout.from_string, "bins"),
-    "channel": (str, "channel"),
+    "w": (int, "w", "half-window length in frames"),
+    "stride": (int, "stride", "window stride in frames"),
+    "k": (int, "k", "unmasking loops"),
+    "m": (int, "m", "features eliminated per loop"),
+    "lambda": (float, "lam", "logistic regularization strength"),
+    "smooth-sigma": (float, "smooth_sigma", "temporal Gaussian sigma in frames"),
+    "bins": (BinLayout.from_string, "bins", "spatial bin grid, e.g. 2x2"),
+    "channel": (str, "channel", "motion, appearance or fusion (default: fusion "
+                "given both inputs, else the one given)"),
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
+    """The inputs and parameters that run and bench share. Parameter
+    values stay strings here and are parsed after the inputs load."""
+    parser.add_argument("--frames", help="PGM directory or raw-y8 file")
+    parser.add_argument("--frames-format", choices=("auto", "pgm-sequence", "raw-y8"),
+                        default="auto")
+    parser.add_argument("--activations", help="UMK1 activation tensor file")
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--w", type=int, default=None, help="half-window length in frames")
-    parser.add_argument("--stride", type=int, default=None, help="window stride in frames")
-    parser.add_argument("--k", type=int, default=None, help="unmasking loops")
-    parser.add_argument("--m", type=int, default=None, help="features eliminated per loop")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="logistic regularization strength")
-    parser.add_argument("--smooth-sigma", type=float, default=None,
-                        help="temporal Gaussian sigma in frames")
-    parser.add_argument("--bins", default=None, help="spatial bin grid, e.g. 2x2")
-    parser.add_argument("--channel", choices=("motion", "appearance", "fusion"),
-                        default=None)
+    for key, (_, attr, text) in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key}", dest=attr, help=text)
+
+
+def _parse(key: str, text: str, where: str):
+    """One parameter value from its text; a malformed value is a
+    ValueError that names ``where`` and the key and keeps the reason."""
+    try:
+        return CONFIG_KEYS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value {text!r} for {key} ({exc})") from None
 
 
 def _read_config_file(path) -> dict:
@@ -88,24 +97,20 @@ def _read_config_file(path) -> dict:
                 f"{path}:{line_no}: unknown config key {key!r} "
                 f"(known: {', '.join(sorted(CONFIG_KEYS))})"
             )
-        parse, attr = CONFIG_KEYS[key]
-        try:
-            values[attr] = parse(value)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+        values[CONFIG_KEYS[key][1]] = _parse(key, value, f"{path}:{line_no}")
     return values
 
 
-def _build_config(args, default_channel: str | None = None) -> DetectorConfig:
-    values: dict = {}
+def _build_config(args, channel: str) -> DetectorConfig:
+    """Defaults, then the --config file, then the flags; ``channel`` is
+    the default the inputs pick."""
+    values = {"channel": channel}
     if args.config:
         values.update(_read_config_file(args.config))
-    for key, (parse, attr) in CONFIG_KEYS.items():
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            values[attr] = parse(flag_value) if isinstance(flag_value, str) else flag_value
-    if "channel" not in values and default_channel is not None:
-        values["channel"] = default_channel
+    for key, (_, attr, _) in CONFIG_KEYS.items():
+        text = getattr(args, attr)
+        if text is not None:
+            values[attr] = _parse(key, text, f"--{key}")
     return DetectorConfig(**values)
 
 
@@ -127,7 +132,12 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _load_inputs(args):
+def _inputs_and_config(args):
+    """What run and bench share: the --frames and/or --activations inputs,
+    each validated whole, then the config, whose channel defaults to
+    fusion given both inputs, else to the one given."""
+    if not args.frames and not args.activations:
+        raise CapabilityError(f"{args.command} needs --frames and/or --activations")
     frames = activations = None
     inputs = {}
     if args.frames:
@@ -141,18 +151,13 @@ def _load_inputs(args):
         path = Path(args.activations)
         activations = load_activations(path)
         inputs["activations"] = {"path": str(path), "sha256": _digest(path)}
-    return frames, activations, inputs
+    channel = ("fusion" if args.frames and args.activations
+               else "motion" if args.frames else "appearance")
+    return frames, activations, inputs, _build_config(args, channel)
 
 
 def cmd_run(args) -> int:
-    if not args.frames and not args.activations:
-        raise CapabilityError("run needs --frames and/or --activations")
-    frames, activations, inputs = _load_inputs(args)
-    if args.frames and args.activations:
-        default_channel = "fusion"
-    else:
-        default_channel = "motion" if args.frames else "appearance"
-    config = _build_config(args, default_channel)
+    frames, activations, inputs, config = _inputs_and_config(args)
     wall0 = time.perf_counter()
     result = run_detector(frames, activations, config)
     wall = time.perf_counter() - wall0
@@ -225,12 +230,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not args.frames:
-        raise CapabilityError("bench needs --frames")
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    frames, activations, inputs = _load_inputs(args)
-    config = _build_config(args, "motion" if not args.activations else "fusion")
+    frames, activations, inputs, config = _inputs_and_config(args)
     extraction, prediction = [], []
     for _ in range(args.repeat):
         result = run_detector(frames, activations, config)
@@ -263,15 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="score a video and write the score CSV + manifest")
-    run.add_argument("--frames", help="PGM directory or raw-y8 file")
-    run.add_argument("--frames-format", choices=("auto", "pgm-sequence", "raw-y8"),
-                     default="auto")
-    run.add_argument("--activations", help="UMK1 activation tensor file")
+    _add_detector_flags(run)
     run.add_argument("--out", required=True, help="score CSV path")
     run.add_argument("--maps-out", help="write per-frame score grids (npz)")
     run.add_argument("--dump-profiles", help="write per-loop accuracy CSV")
     run.add_argument("--dump-bins", help="write per-window bin scores JSON")
-    _add_config_flags(run)
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="ROC/AUC against ground truth")
@@ -291,32 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="throughput split: extraction vs prediction")
-    bench.add_argument("--frames", help="PGM directory or raw-y8 file")
-    bench.add_argument("--frames-format", choices=("auto", "pgm-sequence", "raw-y8"),
-                       default="auto")
-    bench.add_argument("--activations", help="UMK1 activation tensor file")
+    _add_detector_flags(bench)
     bench.add_argument("--repeat", type=int, default=3, help="repeats, median reported")
     bench.add_argument("--out", help="also write the report JSON here")
-    _add_config_flags(bench)
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ARGUMENT_ERRORS as exc:
+    except ARGUMENT_ERRORS + DATA_ERRORS as exc:
         msg = str(exc).replace("\n", " ")
         print(f"videoanomaly {args.command}: error: {type(exc).__name__}: {msg}",
               file=sys.stderr)
-        return 2
-    except DATA_ERRORS as exc:
-        msg = str(exc).replace("\n", " ")
-        print(f"videoanomaly {args.command}: error: {type(exc).__name__}: {msg}",
-              file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ARGUMENT_ERRORS) else 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -263,7 +265,10 @@ def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
                     f"{path}: no {channel!r} maps present (has {sorted(data.keys())})"
                 )
             grids = data[channel]
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    # zipfile raises RuntimeError for an entry flagged as encrypted or with
+    # an unknown compression method; TokenError is numpy's .npy header parser
+    except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error,
+            tokenize.TokenError) as exc:
         raise FormatError(f"{path}: not a readable npz archive ({exc})") from None
     # a member without the .npy header comes back as raw bytes
     if not isinstance(grids, np.ndarray) or grids.shape[1:] != (GRID_H, GRID_W):

@@ -513,6 +513,9 @@ def load_activations(source) -> Sequence[ActivationFrame]:
             int(v) for v in np.frombuffer(head, "<u4", 4, offset=4)
         )
         per_frame = channels * height * width
+        if count and not per_frame:  # the scan below would loop over empty frames
+            raise FormatError(f"{source}: header declares {count} frames of "
+                              f"{channels}x{height}x{width}")
         expected = _UMK1_HEADER_BYTES + count * per_frame * 4
         size = source.stat().st_size
         if size != expected:

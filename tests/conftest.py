@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 ACCEPTANCE_LINES: list[str] = []
@@ -18,6 +21,32 @@ def criterion_report():
         print(line)
 
     return record
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by ``time_limit``. Not an Exception, so no ``except`` in the
+    code under test can take it for an error of its own."""
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises TimeLimitExceeded in a body
+    that runs longer, so a hang fails its test instead of the suite."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeLimitExceeded(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,7 @@ import videoanomaly
 from videoanomaly import read_scores_csv, write_activations, write_frames_y8, write_pgm
 from videoanomaly import cli
 from videoanomaly.cli import main
-from videoanomaly.pipeline import CSV_HEADER
+from videoanomaly.pipeline import CSV_HEADER, DetectorConfig
 from videoanomaly import synth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -226,6 +228,17 @@ def test_run_corrupt_pgm_mid_sequence_beats_bad_stride(tmp_path, capsys, damage)
     assert "012.pgm" in err
 
 
+def test_run_truncated_y8_beats_malformed_parameter(video, tmp_path, capsys):
+    clip = tmp_path / "video.y8"
+    clip.write_bytes(video["frames"].read_bytes()[:-100])
+    clip.with_name("video.y8.hdr").write_text(
+        video["frames"].with_name("video.y8.hdr").read_text()
+    )
+    rc = main(["run", "--frames", str(clip), "--w", "abc", "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "TruncationError" in capsys.readouterr().err
+
+
 def test_run_truncated_short_y8_beats_stream_too_short(tmp_path, capsys):
     clip = tmp_path / "clip.y8"
     write_frames_y8(synth.noise_video(5, width=8, height=6), clip)
@@ -247,6 +260,20 @@ def test_run_nan_in_last_umk1_frame_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DataError" in err
     assert f"non-finite value at element {element}" in err
+
+
+@pytest.mark.parametrize("shape", [(0, 13, 13), (256, 0, 13), (256, 13, 0)])
+def test_run_umk1_header_of_empty_frames_exit_3(tmp_path, capsys, time_limit, shape):
+    """2**32 - 1 declared frames of no values pass the size check; the
+    loader must reject them before it scans one payload frame each."""
+    path = tmp_path / "acts.umk1"
+    path.write_bytes(b"UMK1" + np.array([2**32 - 1, *shape], "<u4").tobytes())
+    with time_limit(5):
+        rc = main(["run", "--activations", str(path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "FormatError" in err and "4294967295 frames of" in err
 
 
 def test_run_input_shrunk_after_validation_exit_3(video, tmp_path, capsys, monkeypatch):
@@ -409,6 +436,25 @@ def _zip_bytes(members):
     return buf.getvalue()
 
 
+def _corrupt_deflate():
+    """A savez_compressed archive whose member's first compressed byte is
+    flipped, so inflating it raises zlib.error."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, fused=np.zeros((2, 12, 16)))
+    data = bytearray(buf.getvalue())
+    name_len, extra_len = struct.unpack_from("<HH", data, 26)  # local file header
+    data[30 + name_len + extra_len] ^= 0xFF
+    return bytes(data)
+
+
+def _zip_flagged(field, value):
+    """A one-member zip whose central directory entry has its 2-byte field
+    at offset ``field`` set to ``value``."""
+    data = bytearray(_zip_bytes({"fused.npy": _npy_bytes(np.zeros((2, 12, 16)))}))
+    struct.pack_into("<H", data, data.index(b"PK\x01\x02") + field, value)
+    return bytes(data)
+
+
 BAD_MAPS = {
     "npy-payload": _npy_bytes(np.zeros((2, 12, 16))),
     "empty": b"",
@@ -416,6 +462,12 @@ BAD_MAPS = {
     "text": b"frame maps\n",
     "member-without-npy-header": _zip_bytes({"fused.npy": b"junk"}),
     "truncated-member": _zip_bytes({"fused.npy": _npy_bytes(np.zeros((2, 12, 16)))[:200]}),
+    "corrupt-deflate": _corrupt_deflate(),
+    "encrypted-member": _zip_flagged(8, 1),  # general purpose flags
+    "unknown-compression": _zip_flagged(10, 99),  # compression method
+    "unbalanced-npy-header": _zip_bytes(
+        {"fused.npy": _npy_bytes(np.zeros((2, 12, 16))).replace(b"}", b" ", 1)}
+    ),
 }
 
 
@@ -551,6 +603,103 @@ def test_bench_reports_throughput(video, tmp_path, capsys):
 def test_bench_missing_input_exit_2(capsys):
     rc = main(["bench"])
     assert rc == 2
+
+
+def test_bench_activations_alone_scores_appearance(tmp_path, capsys):
+    acts = tmp_path / "clip.umk1"
+    write_activations(synth.noise_activations(20, seed=1), acts)
+    rc = main(["bench", "--activations", str(acts), "--k", "1", "--repeat", "1"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["channel"] == "appearance"
+    assert list(doc["inputs"]) == ["activations"]
+
+
+# ------------------------------------------------- detector parameters
+#
+# run and bench share one table of detector parameters: each is a flag
+# and a --config key, parsed by one rule after the inputs are loaded.
+
+# key -> malformed value and the parser's reason, which the error keeps
+MALFORMED = [
+    ("w", "abc", "invalid literal for int()"),
+    ("stride", "2.5", "invalid literal for int()"),
+    ("k", "ten", "invalid literal for int()"),
+    ("m", "1e2", "invalid literal for int()"),
+    ("lambda", "abc", "could not convert string to float"),
+    ("smooth-sigma", "1,5", "could not convert string to float"),
+    ("bins", "abc", "expected 'RxC'"),
+    ("bins", "5x5", "do not partition"),
+    ("channel", "bogus", "must be one of"),
+]
+
+
+@pytest.mark.parametrize("form", ["flag", "file"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("key,value,reason", MALFORMED)
+def test_malformed_parameter_is_one_line_naming_the_key(
+    video, tmp_path, capsys, form, command, key, value, reason
+):
+    out = tmp_path / "out"
+    argv = [command, "--frames", str(video["frames"]), "--out", str(out)]
+    if form == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "detector.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"videoanomaly {command}: error: ValueError: ")
+    assert re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", err)
+    assert reason in err
+    assert not out.exists()
+
+
+# key -> (file value, flag value, the config's value for each)
+PARAMETERS = {
+    "w": ("5", "10", 5, 10),
+    "stride": ("2", "3", 2, 3),
+    "k": ("3", "2", 3, 2),
+    "m": ("10", "20", 10, 20),
+    "lambda": ("0.2", "0.3", 0.2, 0.3),
+    "smooth-sigma": ("5", "2.5", 5.0, 2.5),
+    "bins": ("1x1", "4x4", "1x1", "4x4"),
+    "channel": ("motion", "appearance", "motion", "appearance"),
+}
+
+
+@pytest.fixture(scope="module")
+def fusion_clip(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fusion")
+    clip, acts = root / "clip.y8", root / "clip.umk1"
+    write_frames_y8(synth.noise_video(20, seed=1), clip)
+    write_activations(synth.noise_activations(20, seed=1), acts)
+    return ["--frames", str(clip), "--activations", str(acts)]
+
+
+@pytest.mark.parametrize("given", ["flag", "file", "both"])
+@pytest.mark.parametrize("key", sorted(PARAMETERS))
+def test_parameter_reaches_run_and_bench_config(fusion_clip, tmp_path, capsys, key, given):
+    file_value, flag_value, from_file, from_flag = PARAMETERS[key]
+    extra = []
+    if given != "flag":
+        cfg = tmp_path / "detector.cfg"
+        cfg.write_text(f"{key} = {file_value}\n")
+        extra += ["--config", str(cfg)]
+    if given != "file":
+        extra += [f"--{key}", flag_value]
+    out = tmp_path / "scores.csv"
+    assert main(["run", *fusion_clip, *extra, "--out", str(out)]) == 0
+    run_config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+    report = tmp_path / "bench.json"
+    assert main(["bench", *fusion_clip, *extra, "--repeat", "1", "--out", str(report)]) == 0
+    bench_config = json.loads(report.read_text())["config"]
+
+    expected = dict(DetectorConfig(channel="fusion").to_dict())
+    expected[key.replace("-", "_")] = from_file if given == "file" else from_flag
+    assert run_config == bench_config == expected
 
 
 # -------------------------------------------------------------------- parser
