@@ -313,10 +313,15 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
     return (sums / np.maximum(counts, 1)[:, None])[pick]
 
 
-def gaussian_taps(sigma: float) -> np.ndarray:
+def gaussian_taps(sigma: float, length: int) -> np.ndarray:
     """Unnormalized Gaussian taps exp(-t^2 / (2 sigma^2)) at the integer
-    offsets t in [-r, r], r = ceil(3*sigma); sigma > 0."""
-    radius = math.ceil(3 * sigma)
+    offsets t in [-r, r], r = min(ceil(3*sigma), length); sigma > 0.
+
+    Capping the radius at the length of the line it smooths changes no
+    result: a tap farther out never meets a sample, so a huge sigma costs
+    at most 2*length + 1 taps.
+    """
+    radius = min(math.ceil(3 * sigma), length)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     return np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
 
@@ -324,15 +329,16 @@ def gaussian_taps(sigma: float) -> np.ndarray:
 def smooth(series, sigma: float) -> np.ndarray:
     """Temporal Gaussian smoothing, truncated and renormalized at borders.
 
-    Kernel radius is ceil(3*sigma); sigma = 0 is the identity. Output is
-    clamped to [0,1] (a no-op for in-range input, by kernel normalization).
+    Kernel radius is ceil(3*sigma), capped at the series length (see
+    gaussian_taps); sigma = 0 is the identity. Output is clamped to [0,1]
+    (a no-op for in-range input, by kernel normalization).
     """
     x = np.asarray(series, dtype=np.float64)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     if sigma == 0 or x.size == 0:
         return x.copy()
-    taps = gaussian_taps(sigma)
+    taps = gaussian_taps(sigma, x.size)
     radius = taps.size // 2
     num = np.convolve(x, taps)[radius : radius + x.size]
     den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]

@@ -520,6 +520,18 @@ def test_eval_pixel_non_finite_sigma_exit_2(video, tmp_path, capsys, value):
     assert not report.exists()
 
 
+def test_run_and_eval_take_a_huge_sigma(video, tmp_path):
+    """Both kernels cap their radius at the line they smooth, so a huge
+    sigma is a valid, cheap value rather than a MemoryError."""
+    maps = tmp_path / "maps.npz"
+    rc, scores = _run(video, tmp_path, "--smooth-sigma", "1e9", "--maps-out", str(maps))
+    assert rc == 0
+    rc = main(["eval", "--scores", str(scores), "--gt", str(video["masks"]),
+               "--level", "pixel", "--maps", str(maps), "--sigma-px", "1e9",
+               "--out", str(tmp_path / "pixel.json")])
+    assert rc == 0
+
+
 def test_eval_pixel_without_masks_exit_2(video, tmp_path, capsys):
     maps = tmp_path / "maps.npz"
     _, scores = _run(video, tmp_path, "--maps-out", str(maps))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -161,29 +162,43 @@ def test_smooth_map_matches_dense_reference():
 
 
 def _smooth_map_full(pixels, sigma):
-    """Oracle for smooth_map: both 1D passes over every pixel."""
+    """Oracle for smooth_map: scipy's convolve1d along both axes over every
+    pixel, with the uncapped radius ceil(3*sigma)."""
     import math
 
-    from scipy.ndimage import convolve1d
-
+    convolve1d = pytest.importorskip("scipy.ndimage").convolve1d
     offsets = np.arange(-math.ceil(3 * sigma), math.ceil(3 * sigma) + 1, dtype=np.float64)
     taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
 
     def blur(a):
         return convolve1d(convolve1d(a, taps, axis=0, mode="constant"), taps, axis=1, mode="constant")
 
-    return blur(pixels.astype(np.float64)) / blur(np.ones(pixels.shape))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return blur(pixels.astype(np.float64)) / blur(np.ones(pixels.shape))
 
 
-@pytest.mark.parametrize("shape", [(120, 160), (360, 640), (90, 130)])
+def _same_bits(a, b):
+    """Equal bit for bit, -0.0 apart from +0.0; only a NaN's sign bit may
+    differ between numpy's loops and scipy's C loop."""
+    a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# (20, 200) and the tiny maps are shorter than the sigma-10 radius of 30
+@pytest.mark.parametrize("shape", [(120, 160), (360, 640), (90, 130), (20, 200), (3, 70), (1, 1)])
 def test_smooth_map_is_bit_identical_to_full_convolution(shape):
     rng = np.random.default_rng(shape[1])
     grid = rng.random((12, 16))
     grid[:, 5:9] = 0.0  # equal neighboring cells merge column runs
     grid[0] = 0.5  # columns equal in some rows only stay apart
-    for pixels in (grid_to_pixels(grid, *shape), rng.random(shape)):
+    negzero = np.where(rng.random((12, 16)) < 0.5, -0.0, 0.0)
+    negzero[4:8, 6:12] = -0.0
+    nonfinite = grid.copy()
+    nonfinite[2, 3], nonfinite[7, 9], nonfinite[10, 1] = np.inf, -np.inf, np.nan
+    maps = [grid_to_pixels(g, *shape) for g in (grid, negzero, nonfinite)]
+    for pixels in (*maps, rng.random(shape)):
         for sigma in (10.0, 2.5):
-            assert np.array_equal(smooth_map(pixels, sigma), _smooth_map_full(pixels, sigma))
+            assert _same_bits(smooth_map(pixels, sigma), _smooth_map_full(pixels, sigma))
 
 
 def test_smooth_map_constant_and_zero_sigma():
@@ -460,3 +475,131 @@ def test_pixel_auc_end_to_end_localizes_synthetic_event():
     pixel = pixel_auc(maps, GroundTruth(labels, masks))
     assert report.auc >= 0.9
     assert pixel.auc >= 0.8
+
+
+# ------------------------------------------------- certified critical scores
+
+GRID_CLASSES = ("noise", "signed", "sparse", "plateau", "quadrant", "zero", "negzero", "nonfinite")
+
+
+def _grid_of(kind, rng):
+    """A (12, 16) score grid of one class."""
+    if kind == "noise":
+        return rng.random((12, 16))
+    if kind == "signed":
+        return rng.standard_normal((12, 16))
+    if kind == "sparse":  # a few hot cells: most pixels smooth to exactly 0
+        grid = np.zeros((12, 16))
+        grid.flat[rng.choice(192, 3, replace=False)] = rng.random(3)
+        return grid
+    if kind == "plateau":  # two levels: wide regions of exact ties
+        return rng.choice([0.25, 0.5], size=(12, 16))
+    if kind == "quadrant":  # one level per 2x2 quadrant
+        grid = np.empty((12, 16))
+        grid[:6, :8], grid[:6, 8:], grid[6:, :8], grid[6:, 8:] = rng.random(4)
+        return grid
+    if kind == "zero":
+        return np.zeros((12, 16))
+    if kind == "negzero":  # -0.0 but for an optional hot block
+        grid = np.full((12, 16), -0.0)
+        if rng.random() < 0.5:
+            r, c = rng.integers(0, 10), rng.integers(0, 14)
+            grid[r : r + 3, c : c + 3] = rng.random()
+        return grid
+    grid = rng.random((12, 16))  # nonfinite
+    grid.flat[rng.choice(192, 2, replace=False)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+    return grid
+
+
+def _rect_mask(shape, rng):
+    h, w = shape
+    mask = np.zeros(shape, dtype=bool)
+    r, c = rng.integers(0, h - 1), rng.integers(0, w - 1)
+    mask[r : r + rng.integers(1, h // 2 + 1), c : c + rng.integers(1, w // 2 + 1)] = True
+    return mask
+
+
+def _same_value(a, b):
+    """Equal, with -0.0 apart from +0.0; any NaN equals any NaN (a report
+    prints NaN without its sign)."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+def _check_critical(grid, mask, sigma, negative_min_pixels):
+    pixels = smooth_map(grid_to_pixels(grid, *mask.shape), sigma)
+    want = evaluation._critical_score(pixels, mask, negative_min_pixels)
+    got = evaluation._certified_critical(grid, mask, sigma, negative_min_pixels)
+    assert _same_value(got, want), (got, want, sigma, negative_min_pixels, mask.any(), grid)
+
+
+@pytest.mark.parametrize("kind", GRID_CLASSES)
+@pytest.mark.parametrize("shape", [(360, 640), (240, 320), (90, 130)])
+def test_certified_critical_matches_smoothed_map(shape, kind):
+    """pixel_auc's critical score from the certified closed form equals
+    smooth_map + _critical_score, the map it does not compute."""
+    rng = np.random.default_rng([shape[0], GRID_CLASSES.index(kind)])
+    for sigma in (0.0, 2.5, 10.0):
+        for negative_min_pixels in (1, 3):
+            for masked in (True, False):
+                for _ in range(2):
+                    mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
+                    _check_critical(_grid_of(kind, rng), mask, sigma, negative_min_pixels)
+
+
+def test_certified_critical_on_extreme_cells_and_radii():
+    """Cells whose products could underflow or overflow, signed zeros of
+    both signs, sigma 0 or so small that taps underflow, and radii longer
+    than the map."""
+    rng = np.random.default_rng(5)
+    grids = []
+    for _ in range(2):
+        subnormal = rng.random((12, 16))
+        subnormal[rng.random((12, 16)) < 0.3] = 1e-310
+        huge = rng.random((12, 16))
+        huge[rng.random((12, 16)) < 0.2] = 1e305
+        grids += [subnormal, huge, rng.standard_normal((12, 16)) * 1e-200,
+                  -rng.random((12, 16)), rng.choice([0.0, -0.0, 0.5], size=(12, 16))]
+    for shape in [(20, 200), (90, 130), (12, 16)]:
+        for sigma in (0.0, 0.03, 0.3, 40.0):
+            for grid in grids:
+                for masked in (True, False):
+                    mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
+                    _check_critical(grid, mask, sigma, 1)
+
+
+def test_certified_critical_on_ties_of_signed_zeros():
+    """-0.0 and +0.0 cells, at most one hot cell: critical scores of 0
+    where both zeros tie, and np.partition's pick among them."""
+    rng = np.random.default_rng(1)
+    for trial in range(1000):
+        shape = [(30, 40), (60, 80), (24, 32)][trial % 3]
+        grid = np.full((12, 16), -0.0)
+        grid[rng.random((12, 16)) < rng.random()] = 0.0
+        if rng.random() < 0.7:
+            grid[rng.integers(12), rng.integers(16)] = rng.random()
+        mask = _rect_mask(shape, rng) if rng.random() < 0.7 else np.zeros(shape, dtype=bool)
+        _check_critical(grid, mask, [0.5, 1.0, 2.5][trial % 3], int(rng.integers(1, 6)))
+
+
+def test_certified_critical_keeps_the_sign_of_negative_zero():
+    """A -0.0 grid smooths to -0.0 away from the borders (the zero padding
+    adds +0.0 near them), so a mask in the middle has critical score -0.0,
+    though the closed-form bracket closes at 0."""
+    grid = np.full((12, 16), -0.0)
+    mask = np.zeros((90, 130), dtype=bool)
+    mask[40:50, 60:70] = True
+    assert math.copysign(1, evaluation._critical_score(smooth_map(grid_to_pixels(grid, 90, 130), 2.5), mask, 1)) == -1
+    assert math.copysign(1, evaluation._certified_critical(grid, mask, 2.5, 1)) == -1
+
+
+def test_pixel_auc_takes_a_huge_sigma():
+    """The kernel radius is capped at the map size: sigma 1e9 costs 2 * 40
+    + 1 taps across a 40-pixel row, not six billion."""
+    rng = np.random.default_rng(11)
+    maps = rng.random((4, 12, 16))
+    mask = np.zeros((30, 40), dtype=bool)
+    mask[5:15, 10:30] = True
+    gt = GroundTruth(np.array([1, 0, 1, 0]), [mask, np.zeros_like(mask), mask, np.zeros_like(mask)])
+    assert 0 <= pixel_auc(maps, gt, sigma_px=1e9).auc <= 1
+    for grid in maps:
+        _check_critical(grid, mask, 1e9, 1)

@@ -5,7 +5,9 @@ linter ships with the package, so this guard catches the imports a
 deletion leaves behind. Names listed in ``__all__`` count as read, since
 the module exports them; ``from __future__`` imports are exempt.
 
-Scoring and frame-level evaluation load no scipy module.
+The package needs numpy alone: no module under src/ imports scipy,
+pyproject.toml declares numpy as the only runtime dependency, and
+scoring and evaluation at both levels load no scipy module.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,25 +72,31 @@ import json, sys
 from pathlib import Path
 
 import videoanomaly
-from videoanomaly import cli, synth, write_frames_y8
+from videoanomaly import cli, synth, write_frames_y8, write_pgm
 
 root = Path(sys.argv[1])
-frames, labels, _ = synth.block_event_video(frame_count=120, active_range=(60, 90))
+frames, labels, masks = synth.block_event_video(frame_count=120, active_range=(60, 90))
 write_frames_y8(frames, root / "clip.y8")
 (root / "labels.txt").write_text("".join(f"{v}\\n" for v in labels))
-rc_run = cli.main(["run", "--frames", str(root / "clip.y8"), "--out", str(root / "s.csv"),
-                   "--dump-profiles", str(root / "p.csv")])
-rc_eval = cli.main(["eval", "--scores", str(root / "s.csv"), "--gt", str(root / "labels.txt"),
-                    "--level", "frame", "--out", str(root / "r.json")])
-print(json.dumps({"rc": [rc_run, rc_eval],
+(root / "masks").mkdir()
+for i, mask in enumerate(masks):
+    write_pgm(root / "masks" / f"{i:03d}.pgm", mask.astype("uint8") * 255)
+rc = [
+    cli.main(["run", "--frames", str(root / "clip.y8"), "--out", str(root / "s.csv"),
+              "--maps-out", str(root / "maps.npz"), "--dump-profiles", str(root / "p.csv")]),
+    cli.main(["eval", "--scores", str(root / "s.csv"), "--gt", str(root / "labels.txt"),
+              "--level", "frame", "--out", str(root / "frame.json")]),
+    cli.main(["eval", "--scores", str(root / "s.csv"), "--gt", str(root / "masks"),
+              "--level", "pixel", "--maps", str(root / "maps.npz"), "--out", str(root / "pixel.json")]),
+]
+print(json.dumps({"rc": rc,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_scoring_and_frame_eval_load_no_scipy(tmp_path):
-    # importing scipy.special alone costs about 25 MB of resident memory and
-    # more time than the package's own import; only pixel-level eval may
-    # load scipy (scipy.ndimage)
+def test_scoring_and_evaluation_load_no_scipy(tmp_path):
+    # importing scipy.special costs about 25 MB of resident memory and
+    # scipy.ndimage about 16 MB; the package computes both in numpy
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -96,8 +105,38 @@ def test_scoring_and_frame_eval_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["rc"] == [0, 0]
+    assert doc["rc"] == [0, 0, 0]
     assert doc["scipy"] == []
     # some loop scored above chance, so a fit (and its sigmoid) ran
     rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
     assert any(float(row.split(",")[-1]) > 0.5 for row in rows)
+    # the maps are not all zero, so pixel eval ranked smoothed values
+    assert json.loads((tmp_path / "pixel.json").read_text())["auc"] > 0.5
+
+
+def _imported_roots(source: str) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_package_module_does_not_import_scipy(path):
+    assert "scipy" not in _imported_roots(path.read_text())
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return [re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0] for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    # the tests keep scipy's convolve1d and expit as oracles
+    assert "scipy" in names(project["optional-dependencies"]["dev"])

@@ -290,6 +290,35 @@ def test_smooth_sigma_zero_is_identity():
     assert out is not x
 
 
+def _smooth_uncapped(x, sigma):
+    """smooth with the radius ceil(3*sigma) whatever the series length."""
+    import math
+
+    radius = math.ceil(3 * sigma)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    num = np.convolve(x, taps)[radius : radius + x.size]
+    den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
+    return np.clip(num / den, 0.0, 1.0)
+
+
+def test_smooth_radius_cap_changes_no_bit():
+    """Capping the radius at the series length drops only taps that never
+    meet a frame: 440 series shorter than the radius, bit for bit."""
+    rng = np.random.default_rng(8)
+    for length in range(1, 41):
+        x = rng.random(length)
+        for factor in (1 / 3, 1 / 2, 1, 1.5, 2, 3, 5, 10, 30, 100, 300):
+            sigma = (length + 1) * factor  # radius ceil(3 * sigma) > length
+            assert np.array_equal(smooth(x, sigma), _smooth_uncapped(x, sigma)), (length, sigma)
+
+
+def test_smooth_takes_a_huge_sigma():
+    x = np.random.default_rng(9).random(50)
+    for sigma in (1e9, 1e300):  # 101 taps, each 1.0 to 1e-15: the mean
+        assert np.allclose(smooth(x, sigma), x.mean(), atol=1e-12)
+
+
 def test_smooth_rejects_negative_sigma():
     for sigma in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
