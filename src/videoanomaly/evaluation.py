@@ -23,9 +23,12 @@ sum the Gaussian taps over each grid cell), within delta = 1e-12 P_y
 brackets a frame's critical score; equal ends are the score itself. When
 they differ, only the pixels whose interval meets the bracket are
 smoothed exactly, on their own rows, by the numpy blur that does
-scipy.ndimage.convolve1d's arithmetic in its order. So every score, and
-every report, is bit-identical to smooth_map followed by a partition,
-and the package needs numpy alone.
+scipy.ndimage.convolve1d's arithmetic in its order. A grid the bound
+does not cover (a non-finite cell, or one so small or large that a
+product could underflow or overflow) is smoothed exactly in full, and
+sigma 0 ranks the upsampled grid. So every score, and every report, is
+bit-identical to smooth_map followed by a partition, and the package
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -175,7 +178,6 @@ class _Axis(NamedTuple):
     taps: np.ndarray  # gaussian_taps(sigma, length)
     cell: np.ndarray  # (length,) grid cell of each pixel, as grid_to_pixels
     weight: np.ndarray  # (length, cells): taps from each pixel into each cell
-    reach: np.ndarray  # (length, cells): 1.0 where a tap offset meets the cell
     ones: np.ndarray  # (length,) the pass applied to a line of ones
 
 
@@ -187,13 +189,11 @@ def _axis(length: int, cells: int, sigma_px: float) -> _Axis:
     radius = taps.size // 2
     cell = _pixel_cells(length, cells)
     weight = np.zeros((length, cells))
-    reach = np.zeros((length, cells))
     for c in np.unique(cell):
         offsets = np.flatnonzero(cell == c)[None, :] - np.arange(length)[:, None]
         near = np.abs(offsets) <= radius
         weight[:, c] = np.where(near, taps[np.clip(offsets, -radius, radius) + radius], 0.0).sum(axis=1)
-        reach[:, c] = near.any(axis=1)
-    axis = _Axis(taps, cell, weight, reach, _blur(np.ones((1, length)), taps)[0])
+    axis = _Axis(taps, cell, weight, _blur(np.ones((1, length)), taps)[0])
     for array in axis:  # shared by every caller through the cache
         array.setflags(write=False)
     return axis
@@ -291,34 +291,6 @@ def _kth_largest(values: np.ndarray, k: int):
 
 # relative bound of the closed form: see _certified_critical
 _REL_BOUND = 1e-12
-# multiply-adds per product in the closed form. OpenBLAS runs a product this
-# small on one thread; on a shared two-core host its threaded path took
-# 16 ms for a whole (360, 640) map, against 0.3 ms in blocks of this size.
-_GEMM_SIZE = 1 << 17
-
-
-def _unsmoothed_critical(grid, mask: np.ndarray, negative_min_pixels: int) -> float:
-    """_critical_score of grid_to_pixels(grid, *mask.shape), bit for bit,
-    from how many ranked pixels each grid cell holds: unsmoothed, a pixel
-    is its cell's value."""
-    h, w = mask.shape
-    ys, xs = _pixel_cells(h, GRID_H), _pixel_cells(w, GRID_W)
-    if mask.any():
-        rs, cs = np.nonzero(mask)
-        counts = np.bincount(ys[rs] * GRID_W + xs[cs], minlength=GRID_H * GRID_W)
-        k = (2 * rs.size) // 5 + 1
-    else:
-        counts = np.outer(np.bincount(ys, minlength=GRID_H), np.bincount(xs, minlength=GRID_W)).ravel()
-        k = min(negative_min_pixels, h * w)
-    cells = np.asarray(grid, dtype=np.float64)
-    values = cells.ravel()
-    order = np.argsort(values)[::-1]  # NaN first, as it ranks above everything
-    t = values[order[np.searchsorted(np.cumsum(counts[order]), k)]]
-    zeros = np.signbit(values[(values == 0) & (counts > 0)])
-    if t == 0 and zeros.any() and not zeros.all():
-        # which of +0.0 and -0.0 np.partition returns depends on the whole map
-        return _critical_score(grid_to_pixels(cells, h, w), mask, negative_min_pixels)
-    return float(t)
 
 
 def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pixels: int) -> float:
@@ -334,25 +306,31 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     critical score: equal ends are its exact value. Otherwise the pixels
     whose interval meets the bracket are smoothed exactly, on their rows
     only, and the rank finishes among them after the pixels certainly
-    above. Cells that are not finite, or so small or large that a product
-    could underflow or overflow, are left out of A; the pixels they reach
-    are always smoothed exactly.
+    above. No bound holds for a cell that is not finite, or so small or
+    large that a product could underflow or overflow: such a grid, and
+    sigma 0, take the whole map.
     """
-    if sigma_px == 0:
-        return _unsmoothed_critical(grid, mask, negative_min_pixels)
     h, w = mask.shape
     grid = np.asarray(grid, dtype=np.float64)
     if not grid.view(np.uint64).any():  # every cell +0.0, so every pixel
         return 0.0
+    if sigma_px == 0:
+        return _critical_score(grid_to_pixels(grid, h, w), mask, negative_min_pixels)
     ay, ax = _axis(h, GRID_H, sigma_px), _axis(w, GRID_W, sigma_px)
+
+    def whole_map():
+        full = _exact_block(grid, np.arange(h), 0, w, ay, ax, sigma_px)
+        return _critical_score(full, mask, negative_min_pixels)
+
     taps = np.concatenate([ay.taps, ax.taps])
     tmin = taps[taps > 0].min()
+    mag = np.abs(grid)
+    covered = ((mag < 1e300 / (ay.taps.sum() * ax.taps.sum()))
+               & ((mag == 0) | (mag * tmin * tmin > 1e-270)))
+    if not covered.all():
+        return whole_map()
     radius = max(ay.taps.size, ax.taps.size) // 2
     rel = max(_REL_BOUND, 16 * (radius + 8) * np.finfo(np.float64).eps)
-    mag = np.abs(grid)
-    bad = ~((mag < 1e300 / (ay.taps.sum() * ax.taps.sum()))
-            & ((mag == 0) | (mag * tmin * tmin > 1e-270)))
-    cells = np.where(bad, 0.0, grid)
     # the pixels ranked: a positive frame's masked pixels, as flat indices
     # into their bounding box (pick), or a negative frame's whole map
     if mask.any():
@@ -365,37 +343,27 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
         k = min(negative_min_pixels, h * w)
     den = _smoothing_den((h, w), sigma_px)[rows, cols]
 
-    def ranked(left, g, right):  # left @ g @ right.T at the ranked pixels
-        lg, rt = left[rows] @ g, right[cols].T
-        out = np.empty((lg.shape[0], rt.shape[1]))
-        step = max(1, _GEMM_SIZE // rt.size)
-        for i in range(0, len(out), step):
-            np.matmul(lg[i : i + step], rt, out=out[i : i + step])
+    def ranked(g):  # P_y g P_x^T at the ranked pixels
+        out = (ay.weight[rows] @ g) @ ax.weight[cols].T
         return out.ravel() if pick is None else out.ravel()[pick]
 
-    if np.isnan(grid).any() and np.count_nonzero(ranked(ay.reach, np.isnan(grid), ax.reach)) >= k:
-        return math.nan  # a pixel a NaN cell reaches is NaN, and NaN ranks first
     ranked_den = den.ravel() if pick is None else den.ravel()[pick]
-    a = ranked(ay.weight, cells, ax.weight)
+    a = ranked(grid)
     a /= ranked_den
-    nonneg = (cells >= 0).all()
+    nonneg = (grid >= 0).all()
     if nonneg:
         delta = rel * a
     else:
-        delta = ranked(ay.weight, np.abs(cells), ax.weight)
+        delta = ranked(mag)
         delta *= rel / ranked_den
     lo, hi = a - delta, np.add(a, delta, out=delta)
-    if bad.any():
-        hit = ranked(ay.reach, bad, ax.reach) > 0
-        lo[hit], hi[hit] = -np.inf, np.nan
-        t_lo, t_hi = _kth_largest(lo, k), _kth_largest(hi, k)
-    elif nonneg:  # delta = rel * A is monotone in A: one rank brackets the score
+    if nonneg:  # delta = rel * A is monotone in A: one rank brackets the score
         t = _kth_largest(a, k)
         t_lo, t_hi = t - rel * t, t + rel * t
     else:
         t_lo, t_hi = _kth_largest(lo, k), _kth_largest(hi, k)
-    # a pixel is -0.0 only where its cell is: such a grid's zero bracket
-    # does not tell the sign
+    # with no product underflowing, a pixel is -0.0 only where its cell is:
+    # such a grid's zero bracket does not tell the sign
     if t_lo == t_hi and not (t_lo == 0 and (np.signbit(grid) & (grid == 0)).any()):
         return float(t_lo) + 0.0
     above = lo > t_hi
@@ -403,28 +371,29 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     ri, ci = np.divmod(at if pick is None else pick[at], den.shape[1])
     ri, ci = ri + rows.start, ci + cols.start  # row-major order: ri is sorted
     first = np.r_[True, ri[1:] != ri[:-1]]
-    vertical = _blur(grid[ay.cell].T, ay.taps).T  # smooth_map's, per grid column
-    block = _exact_block(vertical, ri[first], ci.min(), ci.max() + 1, ay, ax, sigma_px)
+    block = _exact_block(grid, ri[first], ci.min(), ci.max() + 1, ay, ax, sigma_px)
     exact = block[np.cumsum(first) - 1, ci - ci.min()]
     t = _kth_largest(exact, k - int(np.count_nonzero(above)))
     zeros = np.signbit(exact[exact == 0])
     if t == 0 and zeros.any() and not zeros.all():
         # which of +0.0 and -0.0 np.partition returns depends on the whole map
-        full = _exact_block(vertical, np.arange(h), 0, w, ay, ax, sigma_px)
-        return _critical_score(full, mask, negative_min_pixels)
+        return whole_map()
     return float(t)
 
 
-def _exact_block(vertical: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis, ax: _Axis,
+def _exact_block(grid: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis, ax: _Axis,
                  sigma_px: float) -> np.ndarray:
     """smooth_map(grid_to_pixels(grid, h, w), sigma_px)[rows, c0:c1], bit
-    for bit, for sorted distinct ``rows``, from the vertical pass of each
-    grid column, ``vertical`` (h, grid columns).
+    for bit, for sorted distinct ``rows``.
+
+    The vertical pass runs once per grid column, as smooth_map's runs once
+    per run of equal pixel columns.
 
     Rows with equal vertical-pass values and equal border weight (ay.ones)
     are equal, so each distinct row is smoothed horizontally once, and only
     over the columns that columns [c0, c1) read.
     """
+    vertical = _blur(grid[ay.cell].T, ay.taps).T  # (h, grid columns)
     radius = ax.taps.size // 2
     lo, hi = max(c0 - radius, 0), min(c1 + radius, ax.cell.size)
     g0, g1 = ax.cell[lo], ax.cell[hi - 1] + 1  # the grid columns they reach

@@ -569,7 +569,8 @@ def test_certified_critical_on_extreme_cells_and_radii():
 
 def test_certified_critical_on_ties_of_signed_zeros():
     """-0.0 and +0.0 cells, at most one hot cell: critical scores of 0
-    where both zeros tie, and np.partition's pick among them."""
+    where both zeros tie, and np.partition's pick among them; and a
+    negative cell so small that its pixels smooth to -0.0."""
     rng = np.random.default_rng(1)
     for trial in range(1000):
         shape = [(30, 40), (60, 80), (24, 32)][trial % 3]
@@ -579,6 +580,16 @@ def test_certified_critical_on_ties_of_signed_zeros():
             grid[rng.integers(12), rng.integers(16)] = rng.random()
         mask = _rect_mask(shape, rng) if rng.random() < 0.7 else np.zeros(shape, dtype=bool)
         _check_critical(grid, mask, [0.5, 1.0, 2.5][trial % 3], int(rng.integers(1, 6)))
+    # a negative subnormal cell smooths to -0.0 near its center, amid +0.0
+    grid = np.zeros((12, 16))
+    grid[5, 7] = -5e-324
+    for shape in [(30, 40), (90, 130)]:
+        wide = np.zeros(shape, dtype=bool)
+        wide[1:-1, 1:-1] = True
+        for sigma in (1.0, 2.5, 10.0):
+            _check_critical(grid, wide, sigma, 1)
+            for negative_min_pixels in (1, 50, shape[0] * shape[1] // 2):
+                _check_critical(grid, np.zeros(shape, dtype=bool), sigma, negative_min_pixels)
 
 
 def test_certified_critical_keeps_the_sign_of_negative_zero():
