@@ -6,14 +6,17 @@ layout.
 Motion: frames at the 160x120 working resolution are partitioned into
 non-overlapping 10x10 patches (a 16x12 grid). Five consecutive frames
 stacked at one grid cell form a 10x10x5 spatio-temporal cube, summarized
-by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). cube_grid
-reads one slot static-first: it gates all 192 cells on the peak temporal
-difference of the five frames, read from the frames themselves (the
-central differences are halved after the max, which is exact), then
-describes only the moving ones. A static slot returns before any stack
-or gradient is built. cube_grid returns the L2-normalized descriptors as
-the rows of a (keep.sum(), 500) array, in row-major cell order, and the
-(12, 16) mask of the non-static cells; a static cell has no row. A
+by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). A slot is
+read static-first: a SlotGate folds in its frames one at a time, keeping
+per-pixel maxima of the temporal differences each frame brings (the
+central ones halved after their max, which is exact), and gives the
+(12, 16) mask of the cells whose peak |d/dt| reaches STATIC_EPS;
+cube_rows then describes only those. The streaming store folds each
+frame as it arrives, so the push that completes a slot gates one frame,
+not five; cube_grid folds a whole stack through the same gate. A static
+slot returns before any stack or gradient is built. cube_grid returns
+the L2-normalized descriptors as the rows of a (keep.sum(), 500) array,
+in row-major cell order, and the mask; a static cell has no row. A
 BinLayout (2x2 quadrants by default) maps each cell to a spatial bin.
 
 Appearance: a 256x13x13 activation tensor per frame is cut into four 7x7
@@ -162,31 +165,86 @@ def _frames(stack) -> list[np.ndarray]:
     return [f.astype(dtype, copy=False) for f in frames]
 
 
-def _static_gate(frames: list[np.ndarray]) -> np.ndarray:
-    """(12, 16) mask of the cells whose peak |d/dt| is >= STATIC_EPS.
+def abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|a - b|, written to ``out`` when given, else to a new array."""
+    d = np.subtract(a, b, out=out)
+    return np.abs(d, out=d)
 
-    The per-pixel peak of ``abs(_temporal_gradient(stack))`` over time is
-    max(|f1-f0|, |f4-f3|, 0.5 * max(|f2-f0|, |f3-f1|, |f4-f2|)). Halving
-    is exact up to the rounding of a subnormal, monotone and
-    sign-symmetric, so halving after the max gives the same bits as
-    halving each central difference. The gate reads the five frames with
-    two frame-sized buffers and builds no stack.
+
+_CELL_COLUMNS = np.arange(0, WORK_W, PATCH)  # first pixel column of each cell
+
+
+class SlotGate:
+    """The static gate of a slot, folded in one frame at a time.
+
+    Frame t of the slot brings the differences that end at it: the
+    one-sided |f1-f0| (t=1) and |f4-f3| (t=4), and the central |f2-f0|,
+    |f3-f1|, |f4-f2| (t=2, 3, 4). The gate keeps |f1-f0| and the
+    per-pixel maximum of the central ones in two buffers of its own.
+    After the fifth frame the central maximum is halved, then meets both
+    one-sided differences: that is the per-pixel peak of
+    ``abs(_temporal_gradient(stack))`` over time bit for bit, because
+    halving is exact up to the rounding of a subnormal, monotone and
+    sign-symmetric, and np.maximum is exact and propagates NaN in either
+    order. The gate then starts over, ready for another slot, so its
+    buffers serve slot after slot.
     """
-    peak = np.subtract(frames[2], frames[0])
-    np.abs(peak, out=peak)
-    diff = np.empty_like(peak)
-    for t in range(2, STACK - 1):
-        np.subtract(frames[t + 1], frames[t - 1], out=diff)
-        np.abs(diff, out=diff)
-        np.maximum(peak, diff, out=peak)
-    peak *= 0.5  # the central differences, halved after the max
-    for a, b in ((0, 1), (-2, -1)):
-        np.subtract(frames[b], frames[a], out=diff)
-        np.abs(diff, out=diff)
-        np.maximum(peak, diff, out=peak)
-    # peak per pixel, then over each cell's rows and columns
-    peak = peak.reshape(GRID_H, PATCH, WORK_W).max(axis=1)
-    return peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
+
+    __slots__ = ("_t", "_one_sided", "_central")
+
+    def __init__(self, like: np.ndarray):
+        """A gate for frames of the shape and dtype of ``like``."""
+        self._t = 0  # position in the slot of the next frame
+        self._one_sided = np.empty_like(like)
+        self._central = np.empty_like(like)
+
+    def fold(self, diff) -> np.ndarray | None:
+        """Fold in the slot's next frame f_t. ``diff(lag, out=None)``
+        returns |f_t - f_(t-lag)|, lag 1 or 2, written to ``out`` when
+        given; without ``out`` the gate only reads it, during this call,
+        so a caller may share one difference among the slots holding f_t.
+        diff is called only for the differences this frame brings. Returns
+        the (12, 16) mask of the cells whose peak |d/dt| is >= STATIC_EPS
+        after the fifth frame, None before."""
+        t = self._t
+        self._t = (t + 1) % STACK
+        if t == 1:
+            diff(1, self._one_sided)
+        elif t == 2:
+            diff(2, self._central)
+        elif t == 3:
+            np.maximum(self._central, diff(2), out=self._central)
+        elif t == 4:
+            peak = np.maximum(self._central, diff(2), out=self._central)
+            peak *= 0.5  # the central differences, halved after the max
+            np.maximum(peak, self._one_sided, out=peak)
+            np.maximum(peak, diff(1), out=peak)
+            # peak per pixel, then over each cell's rows and columns
+            peak = peak.reshape(GRID_H, PATCH, WORK_W).max(axis=1)
+            return np.maximum.reduceat(peak, _CELL_COLUMNS, axis=1) >= STATIC_EPS
+        return None
+
+
+def cube_rows(frames: list[np.ndarray], keep: np.ndarray) -> np.ndarray:
+    """cube_grid's rows of five (120, 160) frames of one inexact dtype,
+    given the slot's static mask ``keep``.
+
+    An all-static mask returns before any stack is built. Otherwise the
+    temporal and spatial gradients are taken on the kept cells only (on
+    the whole stack when every cell is kept).
+    """
+    if not keep.any():
+        return np.empty((0, CUBE_DIM), frames[0].dtype)
+    stack = np.stack(frames)
+    if keep.all():  # gathering every cell would only copy the views
+        blocks, gtb = _cells(stack), _cells(_temporal_gradient(stack))
+    else:  # time is axis 1 of the gathered (n, 5, 10, 10) blocks
+        blocks = _cells(stack)[keep]
+        gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
+    rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    np.divide(rows, norms, out=rows, where=norms > 0)
+    return rows
 
 
 def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -197,27 +255,18 @@ def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
     non-static cells, and rows is (keep.sum(), 500), one L2-normalized
     descriptor per kept cell in row-major cell order, so
     ``rows[mask[keep]]`` selects the cells of any (12, 16) ``mask``. The
-    static gate reads the five frames directly; a slot with no moving
-    cell returns before any stack is built. Otherwise the temporal and
-    spatial gradients are taken on the kept cells only (on the whole
-    stack when every cell is kept). Per cell, the magnitudes are
+    five frames go through a SlotGate one at a time, each difference
+    computed when the gate asks for it, so the gate's two buffers and one
+    difference are all the frame-sized arrays it holds, and a slot with no
+    moving cell returns before any stack is built (cube_rows). Per cell, the magnitudes are
     bit-identical to gradient_feature on the corresponding block, and the
     norm is taken row-wise (``np.linalg.norm(f[None], axis=-1)``).
     """
     frames = _frames(stack)
-    keep = _static_gate(frames)
-    if not keep.any():
-        return np.empty((0, CUBE_DIM), frames[0].dtype), keep
-    stack = np.stack(frames)
-    if keep.all():  # gathering every cell would only copy the views
-        blocks, gtb = _cells(stack), _cells(_temporal_gradient(stack))
-    else:  # time is axis 1 of the gathered (n, 5, 10, 10) blocks
-        blocks = _cells(stack)[keep]
-        gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
-    rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    np.divide(rows, norms, out=rows, where=norms > 0)
-    return rows, keep
+    gate = SlotGate(frames[0])
+    for t, frame in enumerate(frames):
+        keep = gate.fold(lambda lag, out=None: abs_diff(frame, frames[t - lag], out))
+    return cube_rows(frames, keep), keep
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,10 @@ from .features import (
     WORK_H,
     WORK_W,
     BinLayout,
+    SlotGate,
+    abs_diff,
     bin_activations,
-    cube_grid,
+    cube_rows,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
 from .unmasking import CHANCE, MIN_PER_CLASS, WindowBatch, score, unmask
@@ -132,12 +134,17 @@ def plan_windows(frame_count: int, w: int, stride: int) -> list[tuple[int, int]]
 class FeatureStore:
     """Per-frame feature caches of the streaming detector.
 
-    Holds resized frames, per-slot motion cube grids (keyed by the slot's
-    first frame; a static cell stores no descriptor) and per-frame
-    appearance vectors. evict_below() drops everything no window at or
-    after the given frame can need, which bounds memory to roughly one
-    window span; a resized frame goes as soon as the slots that contain
-    it are cached.
+    Motion is gated on arrival. A slot (the 5 frames some window reads
+    from its first frame on, keyed by that frame) opens with its first
+    frame; add() folds each frame into the SlotGate of every open slot
+    holding it, computing each of the frame's two differences once, and
+    describes a slot's kept cells (cube_rows) as soon as its fifth frame
+    arrives. A resized frame lives only while an open slot holds it, so
+    the store never holds more than 5, and a cached slot stores no
+    descriptor for a static cell. Appearance vectors are cached per
+    frame. evict_below() drops the cached slots and vectors no window at
+    or after the given frame can need, which bounds memory to roughly one
+    window span.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -146,6 +153,18 @@ class FeatureStore:
         self.extract_seconds = 0.0
         self.bin_grid = config.bins.patch_bin_grid()
         self._resized: dict[int, np.ndarray] = {}
+        self._open: dict[int, SlotGate] = {}
+        # the gates of closed slots, and buffers for the differences no gate
+        # keeps: reused, because a fresh frame-sized array per push page
+        # faults whenever malloc has trimmed its heap
+        self._spare: list[SlotGate] = []
+        self._scratch: dict[int, np.ndarray] = {}
+        # Window j starts at j * stride and reads the slots starting at
+        # offsets 0, 5, ... < 2w from its start, so a slot starts at frame
+        # f iff f >= o for the first offset o with o % stride == f % stride.
+        self._first_slot: dict[int, int] = {}
+        for o in range(0, 2 * config.w, STACK):
+            self._first_slot.setdefault(o % config.stride, o)
         self._slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._app: dict[int, np.ndarray] = {}
 
@@ -161,7 +180,7 @@ class FeatureStore:
                 raise ValueError(f"expected frame index {idx}, got {frame.index}")
             if (frame.width, frame.height) != (WORK_W, WORK_H):
                 frame = resize_bilinear(frame, WORK_W, WORK_H)
-            self._resized[idx] = frame.pixels
+            self._fold(idx, frame.pixels)
         if "appearance" in channels:
             if activation is None:
                 raise CapabilityError(
@@ -176,26 +195,56 @@ class FeatureStore:
         self.frames_seen += 1
         return idx
 
+    def _fold(self, idx: int, pixels: np.ndarray) -> None:
+        """Fold frame ``idx`` into the gate of every open slot holding it;
+        a slot it completes is described and cached, and its gate kept
+        for a later slot."""
+        gates = self._open
+        if idx >= self._first_slot.get(idx % self.config.stride, idx + 1):
+            gates[idx] = self._spare.pop() if self._spare else SlotGate(pixels)
+        if not gates:
+            return
+        resized, scratch = self._resized, self._scratch
+        resized[idx] = pixels
+        diffs: dict[int, np.ndarray] = {}
+
+        def diff(lag: int, out: np.ndarray | None = None) -> np.ndarray:
+            # |f_idx - f_(idx-lag)|, computed once; a gate that keeps it
+            # gets a copy unless it is the first to ask
+            d = diffs.get(lag)
+            if d is None:
+                if out is None:
+                    out = scratch.get(lag)
+                    if out is None:
+                        out = scratch[lag] = np.empty_like(pixels)
+                d = diffs[lag] = abs_diff(pixels, resized[idx - lag], out)
+            elif out is not None:
+                np.copyto(out, d)
+                d = out
+            return d
+
+        for start, gate in list(gates.items()):
+            keep = gate.fold(diff)
+            if keep is not None:
+                del gates[start]
+                self._spare.append(gate)
+                frames = [resized[i] for i in range(start, idx + 1)]
+                self._slots[start] = cube_rows(frames, keep), keep
+                # open slots start in order: drop the frames none holds
+                for i in range(start, next(iter(gates), idx + 1)):
+                    del resized[i]
+
     def slot(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Cube grid of the 5 frames starting at ``start``.
 
         Returns cube_grid's (rows, keep): one L2-normalized row per
         non-static cell, in row-major cell order, and the (12,16) mask.
-        The cached frames go to cube_grid as they are, so a static slot
-        never stacks them.
+        add() computed it when the slot's fifth frame arrived.
         """
-        cached = self._slots.get(start)
-        if cached is not None:
-            return cached
-        t0 = time.perf_counter()
         try:
-            frames = [self._resized[start + i] for i in range(STACK)]
-        except KeyError as exc:
-            raise ValueError(f"frame {exc.args[0]} not available for slot {start}") from None
-        result = cube_grid(frames)
-        self._slots[start] = result
-        self.extract_seconds += time.perf_counter() - t0
-        return result
+            return self._slots[start]
+        except KeyError:
+            raise ValueError(f"slot {start} not available") from None
 
     def appearance(self, frame: int) -> np.ndarray:
         """(4, 12544) per-bin appearance vectors of one frame."""
@@ -208,8 +257,8 @@ class FeatureStore:
         """Drop what no window starting at ``frame`` or later can need.
 
         Such windows start at ``frame``, ``frame + stride``, ... A cached
-        slot is kept while one of them reads it, and a resized frame only
-        while a slot of theirs that is not cached yet contains it.
+        slot is kept while one of them reads it, and an appearance vector
+        while one of them covers its frame.
         """
         cfg = self.config
         seen = self.frames_seen
@@ -220,10 +269,6 @@ class FeatureStore:
             for s in range(start, min(start + 2 * cfg.w, seen), STACK)
         }
         self._slots = {s: v for s, v in self._slots.items() if s in reachable}
-        needed = {
-            i for s in reachable if s not in self._slots for i in range(s, s + STACK)
-        }
-        self._resized = {i: v for i, v in self._resized.items() if i in needed}
         self._app = {i: v for i, v in self._app.items() if i >= frame}
 
 

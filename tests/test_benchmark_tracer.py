@@ -94,6 +94,44 @@ def test_traced_static_drop_matches_oracle(tracer):
     assert 0.9 < static / (6 * 192) < 1
 
 
+@pytest.mark.parametrize("stride", [5, 3])
+def test_traced_stream_counts_the_slots_windows_read(tracer, stride):
+    """The store computes a slot when its fifth frame arrives, so the
+    tracer first sees it at a cache hit. ``features.slots_computed`` (the
+    distinct slot starts) must still equal the slots the windows read, and
+    ``features.static_drop_frac`` the per-block static fraction of those
+    slots, as ``benchmarks/run.py`` derives them."""
+    rng = np.random.default_rng(8)
+    pixels = np.repeat(rng.random((1, 120, 160)), 200, axis=0)
+    for t in range(60, 140):  # a sprite crossing the scene and back
+        x = 5 + abs(t - 100) * 3
+        pixels[t, 70:86, x : x + 16] = 0.9
+    config = DetectorConfig(k=2, stride=stride)
+    det = StreamingDetector(config)
+    with tracer.Tracer() as tr:
+        for t in range(200):
+            det.push(Frame(t, 160, 120, pixels[t]))
+        _, result = det.finalize()
+    read = {
+        s
+        for start in result.windows.tolist()
+        for s in range(start, start + 2 * config.w, 5)
+    }
+    static = 0
+    for start in read:
+        stack = pixels[start : start + 5]
+        for gy in range(12):
+            for gx in range(16):
+                block = stack[:, gy * 10 : (gy + 1) * 10, gx * 10 : (gx + 1) * 10]
+                static += np.abs(np.gradient(block, axis=0)).max() < STATIC_EPS
+    cells = tr.counts["slot_cells"]
+    assert len(tr.slot_starts) == len(read)
+    assert tr.slot_starts == read
+    assert cells == 192 * len(read)
+    assert tr.counts["slot_cells_static"] / cells == static / (192 * len(read))
+    assert 0.9 < static / cells < 1
+
+
 def test_traced_cli_run_resizes_every_frame(tracer, tmp_path):
     """``ingest.resize`` wraps the one resize the pipeline calls, so a
     traced ``run`` on a clip off the working size has one span per frame."""

@@ -17,11 +17,14 @@ from videoanomaly.features import (
     GRID_H,
     GRID_W,
     PATCH,
+    STACK,
     STATIC_EPS,
     WORK_W,
+    SlotGate,
     _cells,
     _gradient_magnitude,
     _temporal_gradient,
+    abs_diff,
 )
 from videoanomaly.ingest import ActivationFrame
 
@@ -348,6 +351,37 @@ def test_cube_grid_gate_matches_stacked_reference(case, form):
     assert rows.dtype == want_rows.dtype == np.float64
     assert rows.shape == want_rows.shape == (kept, CUBE_DIM)
     assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+
+
+def _static_gate(frames):
+    """One-shot oracle for SlotGate: the (12, 16) mask of the cells whose
+    peak |d/dt| is >= STATIC_EPS, with the per-pixel peak
+    max(|f1-f0|, |f4-f3|, 0.5 * max(|f2-f0|, |f3-f1|, |f4-f2|)) taken over
+    all five frames at once."""
+    peak = np.abs(frames[2] - frames[0])
+    for t in range(2, STACK - 1):
+        peak = np.maximum(peak, np.abs(frames[t + 1] - frames[t - 1]))
+    peak = peak * 0.5
+    for a, b in ((0, 1), (-2, -1)):
+        peak = np.maximum(peak, np.abs(frames[b] - frames[a]))
+    peak = peak.reshape(GRID_H, PATCH, WORK_W).max(axis=1)
+    return peak.reshape(GRID_H, GRID_W, PATCH).max(axis=2) >= STATIC_EPS
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_slot_gate_matches_one_shot_static_gate(case):
+    """Folding the frames one at a time gives the one-shot gate's mask,
+    NaN, inf, subnormal and STATIC_EPS edges included."""
+    stack, kept = _gate_stack(case)
+    frames = [f.astype(np.float64) for f in stack]
+    gate = SlotGate(frames[0])
+    for _ in range(2):  # a gate starts over after each fifth frame
+        masks = [gate.fold(lambda lag, out=None, t=t: abs_diff(frames[t], frames[t - lag], out))
+                 for t in range(STACK)]
+        assert masks[:-1] == [None] * (STACK - 1)
+        assert np.array_equal(masks[-1], _static_gate(frames))
+        assert int(masks[-1].sum()) == kept
 
 
 def test_cube_grid_of_a_static_slot_allocates_no_stack():

@@ -35,6 +35,8 @@ from videoanomaly.features import (
 )
 from videoanomaly.unmasking import MIN_PER_CLASS, WindowBatch, score
 
+from test_features import GATE_CASES, _cube_grid_reference, _gate_stack, _static_gate
+
 
 def _windows(starts, values, channel="motion"):
     """(starts, bin_scores) for aggregate: one row of bin scores per window
@@ -175,19 +177,28 @@ def test_store_drops_resized_frames_once_their_slots_are_cached():
     assert closes == len(plan_windows(60, 10, 5))
 
 
-def test_store_holds_only_uncached_slot_frames_at_stride_3():
-    """At stride 3 (w=10) later windows share only some of their slots
-    with closed ones. Past the first windows the store holds up to 14
-    resized frames, the ones uncached slots still need; keeping every
-    frame from the next window start on would hold up to 19."""
-    frames, _, _ = synth.block_event_video(frame_count=90, active_range=(20, 40))
-    det = StreamingDetector(DetectorConfig(w=10, stride=3, k=1))
+@pytest.mark.parametrize(
+    "stream,stride,frame_count", [("static", 5, 3000), ("noise", 1, 60), ("events", 3, 90)]
+)
+def test_store_holds_at_most_five_resized_frames(stream, stride, frame_count):
+    """The gate runs on arrival, so a resized frame lives only while an
+    open slot holds it: never more than 5 frames after a push, whatever
+    the stride. Keeping the frames of every slot not yet cached held 19
+    after the last push before the first window closed."""
+    if stream == "static":
+        pixels = np.random.default_rng(0).random((WORK_H, WORK_W))
+        frames = (Frame(i, WORK_W, WORK_H, pixels) for i in range(frame_count))
+    elif stream == "noise":
+        frames = synth.noise_video(frame_count, seed=2)
+    else:
+        frames, _, _ = synth.block_event_video(frame_count=frame_count, active_range=(20, 40))
+    det = StreamingDetector(DetectorConfig(w=10, stride=stride, k=1))
     held = []
     for f in frames:
         det.push(f)
-        if det.store.frames_seen > 40:
-            held.append(len(det.store._resized))
-    assert max(held) == 14
+        held.append(len(det.store._resized))
+    assert max(held) <= STACK
+    assert det.store.frames_seen == frame_count
 
 
 def test_window_batch_motion_selects_kept_cells_of_its_bin():
@@ -715,6 +726,62 @@ def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
         assert len(calls) == len(oracle_calls) == len(result.windows) * 4
     if stream == "appearance_w1":
         assert calls == [] and len(oracle_calls) == len(result.windows) * 4
+
+
+def _gate_stream(frame_count):
+    """The GATE_CASES stacks of test_features one after another, with one
+    more cell stepping at every frame, so that each slot position sees a
+    change that the slots around it do not."""
+    stacks = [_gate_stack(case)[0].astype(np.float64) for case in GATE_CASES]
+    pixels = np.concatenate(stacks)[:frame_count]
+    rng = np.random.default_rng(6)
+    for t in range(len(pixels)):
+        gy, gx = 8 + (t // 16) % 3, t % 16
+        pixels[t, gy * 10 : gy * 10 + 10, gx * 10 : gx * 10 + 10] += rng.random((10, 10))
+    return pixels
+
+
+class _GateCheckingDetector(StreamingDetector):
+    """Checks every slot a closing window reads against the stacked
+    reference cube grid of the same five frames, before scoring it."""
+
+    def __init__(self, config, pixels):
+        super().__init__(config)
+        self.pixels = pixels
+        self.checked = set()
+
+    def _close_window(self, window_id):
+        start = window_id * self.config.stride
+        for s in range(start, start + 2 * self.config.w, STACK):
+            rows, keep = self.store.slot(s)
+            frames = list(self.pixels[s : s + STACK])
+            want_rows, want_keep = _cube_grid_reference(frames)
+            assert np.array_equal(keep, want_keep), s
+            assert np.array_equal(keep, _static_gate(frames)), s
+            assert _exact(rows, want_rows), s
+            self.checked.add(s)
+        super()._close_window(window_id)
+
+
+GATE_CONFIGS = [(w, s) for w in (5, 10, 20) for s in (1, 2, 3, 5, 10) if s <= w]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("channel", ["motion", "fusion"])
+@pytest.mark.parametrize("w,stride", GATE_CONFIGS)
+def test_store_gate_matches_one_shot_oracle(w, stride, channel):
+    """Gating on arrival, where a frame sits in up to five open slots,
+    gives every slot a window reads the keep mask and rows of the one-shot
+    stacked cube grid, bit for bit."""
+    pixels = _gate_stream(STACK * len(GATE_CASES))
+    acts = synth.noise_activations(len(pixels), seed=1)
+    det = _GateCheckingDetector(DetectorConfig(w=w, stride=stride, k=1, channel=channel), pixels)
+    for t, act in enumerate(acts):
+        det.push(Frame(t, WORK_W, WORK_H, pixels[t]), act)
+    det.finalize()
+    windows = plan_windows(len(pixels), w, stride)
+    read = {s for start, end in windows for s in range(start, end, STACK)}
+    assert det.checked == read
 
 
 def test_detector_memory_growth_per_frame():
