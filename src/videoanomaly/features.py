@@ -257,10 +257,11 @@ def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
     ``rows[mask[keep]]`` selects the cells of any (12, 16) ``mask``. The
     five frames go through a SlotGate one at a time, each difference
     computed when the gate asks for it, so the gate's two buffers and one
-    difference are all the frame-sized arrays it holds, and a slot with no
-    moving cell returns before any stack is built (cube_rows). Per cell, the magnitudes are
-    bit-identical to gradient_feature on the corresponding block, and the
-    norm is taken row-wise (``np.linalg.norm(f[None], axis=-1)``).
+    difference are all the frame-sized arrays it holds, and a slot with
+    no moving cell returns before any stack is built (cube_rows). Per
+    cell, the magnitudes are bit-identical to gradient_feature on the
+    corresponding block, and the norm is taken row-wise
+    (``np.linalg.norm(f[None], axis=-1)``).
     """
     frames = _frames(stack)
     gate = SlotGate(frames[0])
