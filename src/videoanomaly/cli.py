@@ -32,7 +32,7 @@ from .errors import (
     StreamTooShortError,
 )
 from .evaluation import frame_auc, load_maps_npz, pixel_auc, write_maps_npz
-from .features import BinLayout
+from .features import BinLayout, check_activation_shape
 from .ingest import load_activations, load_frames, load_ground_truth
 from .pipeline import (
     DetectorConfig,
@@ -40,6 +40,7 @@ from .pipeline import (
     dump_profiles_csv,
     read_scores_csv,
     run_detector,
+    stream_length,
     write_scores_csv,
 )
 
@@ -134,8 +135,9 @@ def _digest(path: Path) -> str:
 
 def _inputs_and_config(args):
     """What run and bench share: the --frames and/or --activations inputs,
-    each validated whole, then the config, whose channel defaults to
-    fusion given both inputs, else to the one given."""
+    each validated whole (an activation tensor's shape too) and against
+    the other's length, then the config, whose channel defaults to fusion
+    given both inputs, else to the one given."""
     if not args.frames and not args.activations:
         raise CapabilityError(f"{args.command} needs --frames and/or --activations")
     frames = activations = None
@@ -150,7 +152,13 @@ def _inputs_and_config(args):
     if args.activations:
         path = Path(args.activations)
         activations = load_activations(path)
+        if activations:  # bin_activations would reject it only at the first push
+            try:
+                check_activation_shape(activations[0])
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
         inputs["activations"] = {"path": str(path), "sha256": _digest(path)}
+    stream_length(frames, activations)
     channel = ("fusion" if args.frames and args.activations
                else "motion" if args.frames else "appearance")
     return frames, activations, inputs, _build_config(args, channel)

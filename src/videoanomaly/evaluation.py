@@ -16,15 +16,16 @@ as soon as any pixel is detected (configurable via negative_min_pixels).
 Each frame's detection status flips at exactly one critical threshold, so
 the sweep reduces to a ROC over per-frame critical scores.
 
-Certified critical scores: pixel_auc never smooths a whole map. The
-smoothed map has the closed form A = P_y grid P_x^T / den (P_y and P_x
-sum the Gaussian taps over each grid cell), within delta = 1e-12 P_y
-|grid| P_x^T / den of smooth_map's value. Ranking A - delta and A + delta
-brackets a frame's critical score; equal ends are the score itself. When
-they differ, only the pixels whose interval meets the bracket are
-smoothed exactly, on their own rows, by the numpy blur that does
-scipy.ndimage.convolve1d's arithmetic in its order. A grid the bound
-does not cover (a non-finite cell, or one so small or large that a
+Certified critical scores: pixel_auc smooths a whole map only where no
+bound covers it. For a grid of +0.0 and positive cells, the maps run
+writes, the smoothed map has the closed form A = P_y grid P_x^T / den
+(P_y and P_x sum the Gaussian taps over each grid cell), within
+delta = 1e-12 A of smooth_map's value. The k-th largest A, widened by
+delta, brackets a frame's critical score; equal ends are the score
+itself. When they differ, only the pixels whose interval meets the
+bracket are smoothed exactly, on their own rows, by the numpy blur that
+does scipy.ndimage.convolve1d's arithmetic in its order. Any other grid
+(a negative, -0.0 or non-finite cell, or one so small or large that a
 product could underflow or overflow) is smoothed exactly in full, and
 sigma 0 ranks the upsampled grid. So every score, and every report, is
 bit-identical to smooth_map followed by a partition, and the package
@@ -297,18 +298,19 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     """_critical_score of smooth_map(grid_to_pixels(grid, *mask.shape),
     sigma_px), bit for bit, mostly without smoothing the map.
 
-    The closed form A = P_y grid P_x^T / den (P_y[i, gy] sums the taps
-    from pixel row i into grid row gy) and the blur both sum nonnegative
-    multiples of the |grid| terms, so each lies within a few hundred ulps
-    of M = P_y |grid| P_x^T / den, and delta = 1e-12 M bounds |A - blur|
-    with a margin of about 30x at radius 30 (the factor grows with the
-    radius past about 270). Ranking A - delta and A + delta brackets the
-    critical score: equal ends are its exact value. Otherwise the pixels
+    For a grid whose cells are all +0.0 or positive, the closed form
+    A = P_y grid P_x^T / den (P_y[i, gy] sums the taps from pixel row i
+    into grid row gy) and the blur both sum nonnegative terms, so they lie
+    within a few hundred ulps of each other, and delta = 1e-12 A bounds
+    |A - blur| with a margin of about 30x at radius 30 (the factor grows
+    with the radius past about 270). delta grows with A, so the k-th
+    largest A, widened by its own delta, brackets the critical score:
+    equal ends (a score of zero) are its exact value. Otherwise the pixels
     whose interval meets the bracket are smoothed exactly, on their rows
     only, and the rank finishes among them after the pixels certainly
-    above. No bound holds for a cell that is not finite, or so small or
-    large that a product could underflow or overflow: such a grid, and
-    sigma 0, take the whole map.
+    above. Any other grid takes the whole map: one with a negative, -0.0
+    or non-finite cell, or a cell so small or large that a product could
+    underflow or overflow. So does sigma 0, on the upsampled grid.
     """
     h, w = mask.shape
     grid = np.asarray(grid, dtype=np.float64)
@@ -317,18 +319,13 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     if sigma_px == 0:
         return _critical_score(grid_to_pixels(grid, h, w), mask, negative_min_pixels)
     ay, ax = _axis(h, GRID_H, sigma_px), _axis(w, GRID_W, sigma_px)
-
-    def whole_map():
-        full = _exact_block(grid, np.arange(h), 0, w, ay, ax, sigma_px)
-        return _critical_score(full, mask, negative_min_pixels)
-
     taps = np.concatenate([ay.taps, ax.taps])
     tmin = taps[taps > 0].min()
-    mag = np.abs(grid)
-    covered = ((mag < 1e300 / (ay.taps.sum() * ax.taps.sum()))
-               & ((mag == 0) | (mag * tmin * tmin > 1e-270)))
-    if not covered.all():
-        return whole_map()
+    covered = ((grid.view(np.uint64) == 0)  # +0.0
+               | ((grid * tmin * tmin > 1e-270) & (grid < 1e300 / (ay.taps.sum() * ax.taps.sum()))))
+    if not covered.all():  # the whole map
+        full = _exact_block(grid, np.arange(h), 0, w, ay, ax, sigma_px)
+        return _critical_score(full, mask, negative_min_pixels)
     radius = max(ay.taps.size, ax.taps.size) // 2
     rel = max(_REL_BOUND, 16 * (radius + 8) * np.finfo(np.float64).eps)
     # the pixels ranked: a positive frame's masked pixels, as flat indices
@@ -343,29 +340,17 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
         k = min(negative_min_pixels, h * w)
     den = _smoothing_den((h, w), sigma_px)[rows, cols]
 
-    def ranked(g):  # P_y g P_x^T at the ranked pixels
-        out = (ay.weight[rows] @ g) @ ax.weight[cols].T
-        return out.ravel() if pick is None else out.ravel()[pick]
-
-    ranked_den = den.ravel() if pick is None else den.ravel()[pick]
-    a = ranked(grid)
-    a /= ranked_den
-    nonneg = (grid >= 0).all()
-    if nonneg:
-        delta = rel * a
-    else:
-        delta = ranked(mag)
-        delta *= rel / ranked_den
+    # the closed form A at the ranked pixels
+    a = ((ay.weight[rows] @ grid) @ ax.weight[cols].T / den).ravel()
+    if pick is not None:
+        a = a[pick]
+    delta = rel * a
     lo, hi = a - delta, np.add(a, delta, out=delta)
-    if nonneg:  # delta = rel * A is monotone in A: one rank brackets the score
-        t = _kth_largest(a, k)
-        t_lo, t_hi = t - rel * t, t + rel * t
-    else:
-        t_lo, t_hi = _kth_largest(lo, k), _kth_largest(hi, k)
-    # with no product underflowing, a pixel is -0.0 only where its cell is:
-    # such a grid's zero bracket does not tell the sign
-    if t_lo == t_hi and not (t_lo == 0 and (np.signbit(grid) & (grid == 0)).any()):
-        return float(t_lo) + 0.0
+    # delta = rel * A is monotone in A: one rank brackets the score
+    t = _kth_largest(a, k)
+    t_lo, t_hi = t - rel * t, t + rel * t
+    if t_lo == t_hi:
+        return float(t_lo)
     above = lo > t_hi
     at = np.flatnonzero(~(above | (hi < t_lo)))
     ri, ci = np.divmod(at if pick is None else pick[at], den.shape[1])
@@ -373,12 +358,7 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     first = np.r_[True, ri[1:] != ri[:-1]]
     block = _exact_block(grid, ri[first], ci.min(), ci.max() + 1, ay, ax, sigma_px)
     exact = block[np.cumsum(first) - 1, ci - ci.min()]
-    t = _kth_largest(exact, k - int(np.count_nonzero(above)))
-    zeros = np.signbit(exact[exact == 0])
-    if t == 0 and zeros.any() and not zeros.all():
-        # which of +0.0 and -0.0 np.partition returns depends on the whole map
-        return whole_map()
-    return float(t)
+    return float(_kth_largest(exact, k - int(np.count_nonzero(above))))
 
 
 def _exact_block(grid: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis, ax: _Axis,
@@ -450,7 +430,10 @@ def write_maps_npz(result: DetectionResult, path) -> None:
 
 
 def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
-    """Load one channel's (T, 12, 16) score grids from an npz archive."""
+    """Load one channel's (T, 12, 16) score grids from an npz archive.
+
+    Maps of a dtype other than bool, integer or float are a DataError.
+    """
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -469,4 +452,6 @@ def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
     # a member without the .npy header comes back as raw bytes
     if not isinstance(grids, np.ndarray) or grids.shape[1:] != (GRID_H, GRID_W):
         raise DataError(f"{path}: maps must be (frames, {GRID_H}, {GRID_W})")
+    if grids.dtype.kind not in "biuf":  # bool, int, uint or float
+        raise DataError(f"{path}: maps must be real numbers, got dtype {grids.dtype}")
     return grids

@@ -7,14 +7,15 @@ Motion: frames at the 160x120 working resolution are partitioned into
 non-overlapping 10x10 patches (a 16x12 grid). Five consecutive frames
 stacked at one grid cell form a 10x10x5 spatio-temporal cube, summarized
 by per-voxel 3D gradient magnitudes (CUBE_DIM = 500 values). A slot is
-read static-first: a SlotGate folds in its frames one at a time, keeping
-per-pixel maxima of the temporal differences each frame brings (the
-central ones halved after their max, which is exact), and gives the
-(12, 16) mask of the cells whose peak |d/dt| reaches STATIC_EPS;
-cube_rows then describes only those. The streaming store folds each
-frame as it arrives, so the push that completes a slot gates one frame,
-not five; cube_grid folds a whole stack through the same gate. A static
-slot returns before any stack or gradient is built. cube_grid returns
+read static-first: each slot's SlotGate holds that slot's frames and
+computes the temporal differences each one brings as it is folded in,
+keeping their per-pixel maxima (the central ones halved after their max,
+which is exact). After the fifth frame it gives the (12, 16) mask of the
+cells whose peak |d/dt| reaches STATIC_EPS; cube_rows describes only
+those. The streaming store folds each frame into every open slot's gate
+as it arrives, so the push that completes a slot gates one frame, not
+five; cube_grid folds a whole stack through one gate. A static slot
+returns before any stack or gradient is built. cube_grid returns
 the L2-normalized descriptors as the rows of a (keep.sum(), 500) array,
 in row-major cell order, and the mask; a static cell has no row. A
 BinLayout (2x2 quadrants by default) maps each cell to a spatial bin.
@@ -165,10 +166,10 @@ def _frames(stack) -> list[np.ndarray]:
     return [f.astype(dtype, copy=False) for f in frames]
 
 
-def abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|a - b|, written to ``out`` when given, else to a new array."""
-    d = np.subtract(a, b, out=out)
-    return np.abs(d, out=d)
+def abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|a - b|, written to ``out``."""
+    np.subtract(a, b, out=out)
+    return np.abs(out, out=out)
 
 
 _CELL_COLUMNS = np.arange(0, WORK_W, PATCH)  # first pixel column of each cell
@@ -177,52 +178,54 @@ _CELL_COLUMNS = np.arange(0, WORK_W, PATCH)  # first pixel column of each cell
 class SlotGate:
     """The static gate of a slot, folded in one frame at a time.
 
-    Frame t of the slot brings the differences that end at it: the
-    one-sided |f1-f0| (t=1) and |f4-f3| (t=4), and the central |f2-f0|,
-    |f3-f1|, |f4-f2| (t=2, 3, 4). The gate keeps |f1-f0| and the
-    per-pixel maximum of the central ones in two buffers of its own.
+    The gate holds the slot's frames (``frames``) and computes the
+    differences that end at each one: the one-sided |f1-f0| (t=1) and
+    |f4-f3| (t=4), and the central |f2-f0|, |f3-f1|, |f4-f2| (t=2, 3, 4).
+    It keeps |f1-f0| and the per-pixel maximum of the central ones in two
+    buffers of its own, and writes each later difference to a third.
     After the fifth frame the central maximum is halved, then meets both
     one-sided differences: that is the per-pixel peak of
     ``abs(_temporal_gradient(stack))`` over time bit for bit, because
     halving is exact up to the rounding of a subnormal, monotone and
     sign-symmetric, and np.maximum is exact and propagates NaN in either
-    order. The gate then starts over, ready for another slot, so its
-    buffers serve slot after slot.
+    order. clear() drops the frames, so the gate serves another slot.
     """
 
-    __slots__ = ("_t", "_one_sided", "_central")
+    __slots__ = ("frames", "_one_sided", "_central", "_diff")
 
     def __init__(self, like: np.ndarray):
         """A gate for frames of the shape and dtype of ``like``."""
-        self._t = 0  # position in the slot of the next frame
+        self.frames: list[np.ndarray] = []
         self._one_sided = np.empty_like(like)
         self._central = np.empty_like(like)
+        self._diff = np.empty_like(like)
 
-    def fold(self, diff) -> np.ndarray | None:
-        """Fold in the slot's next frame f_t. ``diff(lag, out=None)``
-        returns |f_t - f_(t-lag)|, lag 1 or 2, written to ``out`` when
-        given; without ``out`` the gate only reads it, during this call,
-        so a caller may share one difference among the slots holding f_t.
-        diff is called only for the differences this frame brings. Returns
-        the (12, 16) mask of the cells whose peak |d/dt| is >= STATIC_EPS
-        after the fifth frame, None before."""
-        t = self._t
-        self._t = (t + 1) % STACK
+    def fold(self, frame: np.ndarray) -> np.ndarray | None:
+        """Fold in the slot's next frame. Returns the (12, 16) mask of the
+        cells whose peak |d/dt| is >= STATIC_EPS after the fifth frame,
+        None before."""
+        f = self.frames
+        f.append(frame)
+        t = len(f) - 1
         if t == 1:
-            diff(1, self._one_sided)
+            abs_diff(frame, f[0], self._one_sided)
         elif t == 2:
-            diff(2, self._central)
+            abs_diff(frame, f[0], self._central)
         elif t == 3:
-            np.maximum(self._central, diff(2), out=self._central)
+            np.maximum(self._central, abs_diff(frame, f[1], self._diff), out=self._central)
         elif t == 4:
-            peak = np.maximum(self._central, diff(2), out=self._central)
+            peak = np.maximum(self._central, abs_diff(frame, f[2], self._diff), out=self._central)
             peak *= 0.5  # the central differences, halved after the max
             np.maximum(peak, self._one_sided, out=peak)
-            np.maximum(peak, diff(1), out=peak)
+            np.maximum(peak, abs_diff(frame, f[3], self._diff), out=peak)
             # peak per pixel, then over each cell's rows and columns
             peak = peak.reshape(GRID_H, PATCH, WORK_W).max(axis=1)
             return np.maximum.reduceat(peak, _CELL_COLUMNS, axis=1) >= STATIC_EPS
         return None
+
+    def clear(self) -> None:
+        """Drop the slot's frames, ready for another slot."""
+        self.frames.clear()
 
 
 def cube_rows(frames: list[np.ndarray], keep: np.ndarray) -> np.ndarray:
@@ -255,9 +258,8 @@ def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
     non-static cells, and rows is (keep.sum(), 500), one L2-normalized
     descriptor per kept cell in row-major cell order, so
     ``rows[mask[keep]]`` selects the cells of any (12, 16) ``mask``. The
-    five frames go through a SlotGate one at a time, each difference
-    computed when the gate asks for it, so the gate's two buffers and one
-    difference are all the frame-sized arrays it holds, and a slot with
+    five frames go through a SlotGate one at a time, so the gate's three
+    buffers are all the frame-sized arrays it allocates, and a slot with
     no moving cell returns before any stack is built (cube_rows). Per
     cell, the magnitudes are bit-identical to gradient_feature on the
     corresponding block, and the norm is taken row-wise
@@ -265,8 +267,8 @@ def cube_grid(stack) -> tuple[np.ndarray, np.ndarray]:
     """
     frames = _frames(stack)
     gate = SlotGate(frames[0])
-    for t, frame in enumerate(frames):
-        keep = gate.fold(lambda lag, out=None: abs_diff(frame, frames[t - lag], out))
+    for frame in frames:
+        keep = gate.fold(frame)
     return cube_rows(frames, keep), keep
 
 
@@ -281,6 +283,15 @@ _APP_WINDOWS = tuple((r0, c0) for r0 in _APP_OFFSETS for c0 in _APP_OFFSETS)
 APP_LAYOUT = BinLayout(len(_APP_OFFSETS), len(_APP_OFFSETS))
 
 
+def check_activation_shape(act: ActivationFrame) -> None:
+    """ValueError unless ``act`` is the 256x13x13 tensor bin_activations bins."""
+    if (act.channels, act.height, act.width) != (ACT_CHANNELS, ACT_SIZE, ACT_SIZE):
+        raise ValueError(
+            f"activation tensor is {act.channels}x{act.height}x{act.width}, "
+            f"needs {ACT_CHANNELS}x{ACT_SIZE}x{ACT_SIZE}"
+        )
+
+
 def bin_activations(act: ActivationFrame) -> np.ndarray:
     """(4, 12544) per-bin vectors from one 256x13x13 activation tensor.
 
@@ -290,11 +301,7 @@ def bin_activations(act: ActivationFrame) -> np.ndarray:
     ch*49 + (r-r0)*7 + (c-c0)). Rows are L2-normalized; an all-zero row is
     passed through unchanged.
     """
-    if (act.channels, act.height, act.width) != (ACT_CHANNELS, ACT_SIZE, ACT_SIZE):
-        raise ValueError(
-            f"activation tensor is {act.channels}x{act.height}x{act.width}, "
-            f"needs {ACT_CHANNELS}x{ACT_SIZE}x{ACT_SIZE}"
-        )
+    check_activation_shape(act)
     values = np.asarray(act.values, dtype=np.float64)
     out = np.empty((len(_APP_WINDOWS), APP_DIM))
     for b, (r0, c0) in enumerate(_APP_WINDOWS):

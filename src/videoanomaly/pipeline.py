@@ -42,7 +42,6 @@ from .features import (
     WORK_W,
     BinLayout,
     SlotGate,
-    abs_diff,
     bin_activations,
     cube_rows,
 )
@@ -135,16 +134,16 @@ class FeatureStore:
     """Per-frame feature caches of the streaming detector.
 
     Motion is gated on arrival. A slot (the 5 frames some window reads
-    from its first frame on, keyed by that frame) opens with its first
-    frame; add() folds each frame into the SlotGate of every open slot
-    holding it, computing each of the frame's two differences once, and
-    describes a slot's kept cells (cube_rows) as soon as its fifth frame
-    arrives. A resized frame lives only while an open slot holds it, so
-    the store never holds more than 5, and a cached slot stores no
-    descriptor for a static cell. Appearance vectors are cached per
-    frame. evict_below() drops the cached slots and vectors no window at
-    or after the given frame can need, which bounds memory to roughly one
-    window span.
+    from its first frame on, keyed by that frame) opens a SlotGate with
+    its first frame; add() folds each frame into every open slot's gate,
+    which holds that slot's frames and computes the differences the new
+    frame brings, and describes a slot's kept cells (cube_rows) from its
+    gate's frames as soon as the fifth arrives. A resized frame lives
+    only while an open gate holds it, so the store never holds more than
+    5, and a cached slot stores no descriptor for a static cell.
+    Appearance vectors are cached per frame. evict_below() drops the
+    cached slots and vectors that start before the given frame, which
+    bounds memory to roughly one window span.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -152,13 +151,10 @@ class FeatureStore:
         self.frames_seen = 0
         self.extract_seconds = 0.0
         self.bin_grid = config.bins.patch_bin_grid()
-        self._resized: dict[int, np.ndarray] = {}
         self._open: dict[int, SlotGate] = {}
-        # the gates of closed slots, and buffers for the differences no gate
-        # keeps: reused, because a fresh frame-sized array per push page
-        # faults whenever malloc has trimmed its heap
+        # the gates of closed slots, reused: a fresh frame-sized array per
+        # push page faults whenever malloc has trimmed its heap
         self._spare: list[SlotGate] = []
-        self._scratch: dict[int, np.ndarray] = {}
         # Window j starts at j * stride and reads the slots starting at
         # offsets 0, 5, ... < 2w from its start, so a slot starts at frame
         # f iff f >= o for the first offset o with o % stride == f % stride.
@@ -196,43 +192,19 @@ class FeatureStore:
         return idx
 
     def _fold(self, idx: int, pixels: np.ndarray) -> None:
-        """Fold frame ``idx`` into the gate of every open slot holding it;
-        a slot it completes is described and cached, and its gate kept
-        for a later slot."""
+        """Open a gate if a slot starts at frame ``idx``, then fold the
+        frame into every open gate; a slot it completes is described from
+        its gate's frames and cached, and its gate cleared for a later slot."""
         gates = self._open
         if idx >= self._first_slot.get(idx % self.config.stride, idx + 1):
             gates[idx] = self._spare.pop() if self._spare else SlotGate(pixels)
-        if not gates:
-            return
-        resized, scratch = self._resized, self._scratch
-        resized[idx] = pixels
-        diffs: dict[int, np.ndarray] = {}
-
-        def diff(lag: int, out: np.ndarray | None = None) -> np.ndarray:
-            # |f_idx - f_(idx-lag)|, computed once; a gate that keeps it
-            # gets a copy unless it is the first to ask
-            d = diffs.get(lag)
-            if d is None:
-                if out is None:
-                    out = scratch.get(lag)
-                    if out is None:
-                        out = scratch[lag] = np.empty_like(pixels)
-                d = diffs[lag] = abs_diff(pixels, resized[idx - lag], out)
-            elif out is not None:
-                np.copyto(out, d)
-                d = out
-            return d
-
         for start, gate in list(gates.items()):
-            keep = gate.fold(diff)
+            keep = gate.fold(pixels)
             if keep is not None:
                 del gates[start]
+                self._slots[start] = cube_rows(gate.frames, keep), keep
+                gate.clear()
                 self._spare.append(gate)
-                frames = [resized[i] for i in range(start, idx + 1)]
-                self._slots[start] = cube_rows(frames, keep), keep
-                # open slots start in order: drop the frames none holds
-                for i in range(start, next(iter(gates), idx + 1)):
-                    del resized[i]
 
     def slot(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Cube grid of the 5 frames starting at ``start``.
@@ -254,21 +226,9 @@ class FeatureStore:
             raise ValueError(f"appearance features for frame {frame} not available") from None
 
     def evict_below(self, frame: int) -> None:
-        """Drop what no window starting at ``frame`` or later can need.
-
-        Such windows start at ``frame``, ``frame + stride``, ... A cached
-        slot is kept while one of them reads it, and an appearance vector
-        while one of them covers its frame.
-        """
-        cfg = self.config
-        seen = self.frames_seen
-        # slots of those windows that start at a frame already pushed
-        reachable = {
-            s
-            for start in range(frame, seen, cfg.stride)
-            for s in range(start, min(start + 2 * cfg.w, seen), STACK)
-        }
-        self._slots = {s: v for s, v in self._slots.items() if s in reachable}
+        """Drop the cached slots and appearance vectors that start before
+        ``frame``: no window starting at ``frame`` or later reads them."""
+        self._slots = {s: v for s, v in self._slots.items() if s >= frame}
         self._app = {i: v for i, v in self._app.items() if i >= frame}
 
 
@@ -624,12 +584,8 @@ class StreamingDetector:
 # Batch entry point
 # ---------------------------------------------------------------------------
 
-def _check_inputs(frames, activations, config) -> int:
-    channels = config.enabled_channels
-    if "motion" in channels and frames is None:
-        raise CapabilityError(f"channel {config.channel!r} needs --frames input")
-    if "appearance" in channels and activations is None:
-        raise CapabilityError(f"channel {config.channel!r} needs --activations input")
+def stream_length(frames, activations) -> int:
+    """The inputs' frame count; AlignmentError if two lengths differ."""
     if frames is not None and activations is not None and len(frames) != len(activations):
         raise AlignmentError(
             f"{len(frames)} video frames but {len(activations)} activation frames"
@@ -646,7 +602,11 @@ def run_detector(
     StreamingDetector. Inputs are read one index at a time, so the lazy
     sequences of the ingest loaders are never held whole."""
     config = config or DetectorConfig()
-    frame_count = _check_inputs(frames, activations, config)
+    if "motion" in config.enabled_channels and frames is None:
+        raise CapabilityError(f"channel {config.channel!r} needs --frames input")
+    if "appearance" in config.enabled_channels and activations is None:
+        raise CapabilityError(f"channel {config.channel!r} needs --activations input")
+    frame_count = stream_length(frames, activations)
     plan_windows(frame_count, config.w, config.stride)  # validates length early
     det = StreamingDetector(config)
     for i in range(frame_count):

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 import videoanomaly
-from videoanomaly import read_scores_csv, write_activations, write_frames_y8, write_pgm
+from videoanomaly import (
+    ActivationFrame,
+    read_scores_csv,
+    write_activations,
+    write_frames_y8,
+    write_pgm,
+)
 from videoanomaly import cli
 from videoanomaly.cli import main
 from videoanomaly.pipeline import CSV_HEADER, DetectorConfig
@@ -276,6 +282,32 @@ def test_run_umk1_header_of_empty_frames_exit_3(tmp_path, capsys, time_limit, sh
     assert "FormatError" in err and "4294967295 frames of" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--k", "0"]])
+@pytest.mark.parametrize("shape", [(128, 13, 13), (256, 14, 14)])
+def test_run_umk1_of_another_tensor_shape_exit_3(tmp_path, capsys, shape, extra):
+    """The appearance channel bins 256x13x13 tensors only. Another shape
+    is a data error of the input, reported before a bad parameter and
+    before the first push."""
+    path = tmp_path / "acts.umk1"
+    values = np.random.default_rng(0).random((20, *shape), dtype=np.float32)
+    write_activations([ActivationFrame(i, *shape, v) for i, v in enumerate(values)], path)
+    rc = main(["run", "--activations", str(path), *extra, "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "DataError" in err and "{}x{}x{}".format(*shape) in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "0"]])
+def test_run_input_length_mismatch_beats_bad_parameter(tmp_path, capsys, extra):
+    clip, acts = tmp_path / "clip.y8", tmp_path / "acts.umk1"
+    write_frames_y8(synth.noise_video(40, seed=1), clip)
+    write_activations(synth.noise_activations(30, seed=1), acts)
+    rc = main(["run", "--frames", str(clip), "--activations", str(acts), *extra,
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "AlignmentError: 40 video frames but 30 activation frames" in capsys.readouterr().err
+
+
 def test_run_input_shrunk_after_validation_exit_3(video, tmp_path, capsys, monkeypatch):
     clip = tmp_path / "video.y8"
     clip.write_bytes(video["frames"].read_bytes())
@@ -468,6 +500,16 @@ BAD_MAPS = {
     "unbalanced-npy-header": _zip_bytes(
         {"fused.npy": _npy_bytes(np.zeros((2, 12, 16))).replace(b"}", b" ", 1)}
     ),
+    # maps that are not real numbers
+    **{
+        f"{name}-maps": _zip_bytes({"fused.npy": _npy_bytes(np.zeros((2, 12, 16), dtype))})
+        for name, dtype in [
+            ("complex", np.complex128),
+            ("datetime64", "M8[s]"),
+            ("structured", [("a", "f8"), ("b", "f8")]),
+            ("string", "U3"),
+        ]
+    },
 }
 
 

@@ -24,7 +24,6 @@ from videoanomaly.features import (
     _cells,
     _gradient_magnitude,
     _temporal_gradient,
-    abs_diff,
 )
 from videoanomaly.ingest import ActivationFrame
 
@@ -376,16 +375,19 @@ def test_slot_gate_matches_one_shot_static_gate(case):
     stack, kept = _gate_stack(case)
     frames = [f.astype(np.float64) for f in stack]
     gate = SlotGate(frames[0])
-    for _ in range(2):  # a gate starts over after each fifth frame
-        masks = [gate.fold(lambda lag, out=None, t=t: abs_diff(frames[t], frames[t - lag], out))
-                 for t in range(STACK)]
+    for _ in range(2):  # a cleared gate serves another slot
+        masks = [gate.fold(frame) for frame in frames]
         assert masks[:-1] == [None] * (STACK - 1)
         assert np.array_equal(masks[-1], _static_gate(frames))
         assert int(masks[-1].sum()) == kept
+        assert len(gate.frames) == STACK
+        assert all(held is frame for held, frame in zip(gate.frames, frames))
+        gate.clear()
+        assert gate.frames == []
 
 
 def test_cube_grid_of_a_static_slot_allocates_no_stack():
-    """A static slot peaks below 0.5 MB: two frame-sized gate buffers,
+    """A static slot peaks below 0.5 MB: three frame-sized gate buffers,
     where a (5, 120, 160) float64 stack alone is 768 KB."""
     base = np.random.default_rng(3).random((120, 160))
     frames = [base.copy() for _ in range(5)]

@@ -158,6 +158,11 @@ def test_store_keeps_no_rows_for_static_slots():
     assert window_batch((0, 20), "motion", store) == {}
 
 
+def _held_frames(store):
+    """The number of distinct frames the store's open gates hold."""
+    return len({s + t for s, gate in store._open.items() for t in range(len(gate.frames))})
+
+
 def test_store_drops_resized_frames_once_their_slots_are_cached():
     """At w=10, stride 5 a closing window has cached every slot that a
     later window reads and that the pushed frames reach, so no resized
@@ -168,7 +173,7 @@ def test_store_drops_resized_frames_once_their_slots_are_cached():
     closes = 0
     for f in frames:
         closed = bool(det.push(f))  # every close emits frames
-        held = len(det.store._resized)
+        held = _held_frames(det.store)
         if closed:
             closes += 1
             assert held == 0
@@ -182,9 +187,10 @@ def test_store_drops_resized_frames_once_their_slots_are_cached():
 )
 def test_store_holds_at_most_five_resized_frames(stream, stride, frame_count):
     """The gate runs on arrival, so a resized frame lives only while an
-    open slot holds it: never more than 5 frames after a push, whatever
-    the stride. Keeping the frames of every slot not yet cached held 19
-    after the last push before the first window closed."""
+    open slot's gate holds it: never more than 5 frames after a push,
+    whatever the stride. Keeping the frames of every slot not yet cached
+    held 19 after the last push before the first window closed. A cached
+    slot lives until the next window starts past it."""
     if stream == "static":
         pixels = np.random.default_rng(0).random((WORK_H, WORK_W))
         frames = (Frame(i, WORK_W, WORK_H, pixels) for i in range(frame_count))
@@ -196,7 +202,8 @@ def test_store_holds_at_most_five_resized_frames(stream, stride, frame_count):
     held = []
     for f in frames:
         det.push(f)
-        held.append(len(det.store._resized))
+        held.append(_held_frames(det.store))
+        assert min(det.store._slots, default=np.inf) >= det._next_window * stride
     assert max(held) <= STACK
     assert det.store.frames_seen == frame_count
 
