@@ -15,6 +15,7 @@ before any parameter is parsed, so a data error is reported first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import statistics
@@ -35,9 +36,8 @@ from .evaluation import frame_auc, load_maps_npz, pixel_auc, write_maps_npz
 from .features import BinLayout, check_activation_shape
 from .ingest import load_activations, load_frames, load_ground_truth
 from .pipeline import (
+    CSV_HEADER,
     DetectorConfig,
-    dump_bins_json,
-    dump_profiles_csv,
     read_scores_csv,
     run_detector,
     stream_length,
@@ -167,15 +167,12 @@ def _inputs_and_config(args):
 def cmd_run(args) -> int:
     frames, activations, inputs, config = _inputs_and_config(args)
     wall0 = time.perf_counter()
-    result = run_detector(frames, activations, config)
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
+        result = run_detector(frames, activations, config, trace)
     wall = time.perf_counter() - wall0
     write_scores_csv(result.series, args.out)
     if args.maps_out:
         write_maps_npz(result, args.maps_out)
-    if args.dump_profiles:
-        dump_profiles_csv(result, args.dump_profiles)
-    if args.dump_bins:
-        dump_bins_json(result, args.dump_bins)
     manifest = {
         "tool": "videoanomaly",
         "version": __version__,
@@ -276,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(run)
     run.add_argument("--out", required=True, help="score CSV path")
     run.add_argument("--maps-out", help="write per-frame score grids (npz)")
-    run.add_argument("--dump-profiles", help="write per-loop accuracy CSV")
-    run.add_argument("--dump-bins", help="write per-window bin scores JSON")
+    run.add_argument("--trace", metavar="FILE", help="write one JSON line per closed window")
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="ROC/AUC against ground truth")
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="label file (one 0/1 per line) or mask PGM directory")
     ev.add_argument("--level", choices=("frame", "pixel"), default="frame")
     ev.add_argument("--column", default="score_smoothed",
-                    help="score CSV column to evaluate")
+                    choices=CSV_HEADER.split(",")[1:], help="score CSV column to evaluate")
     ev.add_argument("--maps", help="npz score grids from run --maps-out (pixel level)")
     ev.add_argument("--map-channel", default="fused",
                     help="which maps to use: motion|appearance|fused")

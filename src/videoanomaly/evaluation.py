@@ -396,7 +396,7 @@ def pixel_auc(
     """Pixel-level ROC report under the 40%-overlap detection rule.
 
     ``maps`` holds one (12, 16) grid per frame: a (T, 12, 16) array or
-    any length-T sequence of grids.
+    any length-T sequence of grids, of bools, integers or floats.
     """
     if gt.pixel_masks is None:
         raise CapabilityError("pixel-level evaluation needs per-pixel ground-truth masks")
@@ -404,6 +404,7 @@ def pixel_auc(
         raise ValueError("negative_min_pixels must be >= 1")
     if not 0 <= sigma_px < math.inf:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma_px}")
+    maps = _maps_array(maps, "pixel_auc")
     if len(maps) != len(gt.pixel_masks):
         raise AlignmentError(
             f"{len(maps)} score maps but {len(gt.pixel_masks)} ground-truth masks"
@@ -417,6 +418,19 @@ def pixel_auc(
 # ---------------------------------------------------------------------------
 # Map files
 # ---------------------------------------------------------------------------
+
+def _maps_array(maps, where: str) -> np.ndarray:
+    """``maps`` as one (T, 12, 16) array of bools, integers or floats, else DataError."""
+    try:
+        grids = np.asarray(maps)
+    except ValueError:  # grids of unequal shapes
+        grids = np.empty(0)
+    if grids.shape[1:] != (GRID_H, GRID_W) or grids.dtype.kind not in "biuf":
+        raise DataError(
+            f"{where}: maps must be (frames, {GRID_H}, {GRID_W}) bools, integers or floats"
+        )
+    return grids
+
 
 def write_maps_npz(result: DetectionResult, path) -> None:
     """Save per-frame score grids, one (T,12,16) array per channel + 'fused'.
@@ -432,7 +446,7 @@ def write_maps_npz(result: DetectionResult, path) -> None:
 def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
     """Load one channel's (T, 12, 16) score grids from an npz archive.
 
-    Maps of a dtype other than bool, integer or float are a DataError.
+    Maps of another shape or dtype than pixel_auc takes are a DataError.
     """
     try:
         data = np.load(path)
@@ -450,8 +464,4 @@ def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
             tokenize.TokenError) as exc:
         raise FormatError(f"{path}: not a readable npz archive ({exc})") from None
     # a member without the .npy header comes back as raw bytes
-    if not isinstance(grids, np.ndarray) or grids.shape[1:] != (GRID_H, GRID_W):
-        raise DataError(f"{path}: maps must be (frames, {GRID_H}, {GRID_W})")
-    if grids.dtype.kind not in "biuf":  # bool, int, uint or float
-        raise DataError(f"{path}: maps must be real numbers, got dtype {grids.dtype}")
-    return grids
+    return _maps_array(grids, path)

@@ -20,11 +20,12 @@ bit-identical to a batch run over the same input.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -398,12 +399,14 @@ class Emission:
 
 @dataclass
 class DetectionResult:
+    """The per-frame series and the per-window rows it aggregates; the
+    profiles behind the bin scores go only to a detector's trace."""
+
     series: ScoreSeries
     config: DetectorConfig
     frame_count: int
     windows: np.ndarray  # (W,) window start frames, j * stride
     bin_scores: dict[str, np.ndarray]  # channel -> (W, n_bins)
-    accuracies: dict[str, np.ndarray]  # channel -> (W, n_bins, k) unmasking profiles
     presence: np.ndarray | None  # (W, 12, 16) bool, any surviving cube (motion)
     timing: dict[str, float]
 
@@ -424,25 +427,23 @@ class StreamingDetector:
     A frame is emitted exactly once, in strictly increasing order, as soon
     as every window covering it has closed. finalize() ends the stream,
     emits the tail, and returns the full DetectionResult, bit-identical
-    to running the same input as one batch.
+    to running the same input as one batch. A ``trace`` text stream gets
+    one JSON line per closed window (see _close_window).
     """
 
-    def __init__(self, config: DetectorConfig | None = None):
+    def __init__(self, config: DetectorConfig | None = None, trace: TextIO | None = None):
         self.config = config or DetectorConfig()
+        self.trace = trace
         self.store = FeatureStore(self.config)
         # one row per closed window, stacked by finalize()
         self._bin_scores = {ch: [] for ch in self.config.enabled_channels}
-        self._accuracies = {ch: [] for ch in self.config.enabled_channels}
         self._presence = []
         # rows shared by every window that stores nothing new: a channel's
-        # chance rows (accuracies, bin scores) and the empty presence grid
+        # chance bin scores and the empty presence grid
         cfg = self.config
-        self._chance = {
-            ch: (np.full((cfg.n_bins(ch), cfg.k), CHANCE), np.full(cfg.n_bins(ch), CHANCE))
-            for ch in cfg.enabled_channels
-        }
+        self._chance = {ch: np.full(cfg.n_bins(ch), CHANCE) for ch in cfg.enabled_channels}
         self._no_presence = np.zeros(self.store.bin_grid.shape, dtype=bool)
-        for row in (self._no_presence, *(r for pair in self._chance.values() for r in pair)):
+        for row in (self._no_presence, *self._chance.values()):
             row.setflags(write=False)
         self.predict_seconds = 0.0
         self._next_window = 0
@@ -470,32 +471,48 @@ class StreamingDetector:
         """Score window ``window_id`` on every (channel, bin) and append its rows.
 
         window_batch gives the bins that can train; unmask scores each of
-        them. Every other bin is degenerate, so its row is the one unmask
-        would give, k CHANCE accuracies and bin score CHANCE, without a
-        fit. A channel with no trainable bin appends the shared read-only
-        chance rows, and a window with no kept cell the shared empty
-        presence grid, so a static window stores no new array.
+        them. Every other bin is degenerate and scores CHANCE, as unmask
+        would, without a fit. A channel with no trainable bin appends the
+        shared read-only chance row, and a window with no kept cell the
+        shared empty presence grid, so a static window stores no new
+        array.
+
+        The profiles are not kept. Given a trace, the window's JSON line
+        goes there: "window", "start" and, per enabled channel in order,
+        "scores" (the n_bins bin scores) and "trained", which maps each
+        bin that got a fit to its "examples" [n0, n1] and its k
+        "accuracies" and "iterations". A bin missing from "trained"
+        scored CHANCE without a fit.
         """
         cfg, store = self.config, self.store
         start = window_id * cfg.stride
         window = (start, start + 2 * cfg.w)
+        line = None if self.trace is None else {"window": window_id, "start": start}
         for ch in cfg.enabled_channels:
             batches = window_batch(window, ch, store)
-            accuracies, scores = self._chance[ch]
+            scores, profiles = self._chance[ch], {}
             if batches:
                 t0 = time.perf_counter()
-                accuracies, scores = accuracies.copy(), scores.copy()
+                scores = scores.copy()
                 for b, batch in batches.items():
-                    profile = unmask(batch, cfg.k, cfg.m, cfg.lam)
-                    accuracies[b] = profile.accuracies
+                    profiles[b] = profile = unmask(batch, cfg.k, cfg.m, cfg.lam)
                     scores[b] = score(profile)
                 self.predict_seconds += time.perf_counter() - t0
-            self._accuracies[ch].append(accuracies)
             self._bin_scores[ch].append(scores)
+            if line is not None:
+                trained = {
+                    b: {"examples": batches[b].class_counts(),
+                        "accuracies": p.accuracies.tolist(),
+                        "iterations": p.iterations}
+                    for b, p in profiles.items()
+                }
+                line[ch] = {"scores": scores.tolist(), "trained": trained}
         if "motion" in cfg.enabled_channels:
             presence = np.logical_or.reduce([store.slot(s)[1] for s in range(*window, STACK)])
             self._presence.append(presence if presence.any() else self._no_presence)
         store.evict_below(start + cfg.stride)
+        if line is not None:
+            self.trace.write(json.dumps(line) + "\n")
 
     def _emit_upto(self, horizon: int) -> list[Emission]:
         """Emit frames [emitted, horizon), all of whose windows have closed.
@@ -553,14 +570,12 @@ class StreamingDetector:
         tail = self._emit_upto(frame_count)
         windows = np.arange(self._next_window) * self.config.stride
         bin_scores = {ch: np.stack(rows) for ch, rows in self._bin_scores.items()}
-        accuracies = {ch: np.stack(rows) for ch, rows in self._accuracies.items()}
         presence = np.stack(self._presence) if self._presence else None
         # free what the ended stream no longer needs before aggregate()
         # allocates the whole series: cached frames and features, and the
         # per-window rows now stacked
         self.store.evict_below(frame_count)
         self._bin_scores.clear()
-        self._accuracies.clear()
         self._presence.clear()
         series = aggregate(windows, bin_scores, frame_count, self.config)
         self.predict_seconds += time.perf_counter() - t0
@@ -570,7 +585,6 @@ class StreamingDetector:
             frame_count,
             windows,
             bin_scores,
-            accuracies,
             presence,
             {
                 "extract_seconds": self.store.extract_seconds,
@@ -597,10 +611,12 @@ def run_detector(
     frames: Sequence[Frame] | None = None,
     activations: Sequence[ActivationFrame] | None = None,
     config: DetectorConfig | None = None,
+    trace: TextIO | None = None,
 ) -> DetectionResult:
     """Run the full detector by pushing every frame through a
-    StreamingDetector. Inputs are read one index at a time, so the lazy
-    sequences of the ingest loaders are never held whole."""
+    StreamingDetector, which writes its per-window lines to ``trace`` if
+    given. Inputs are read one index at a time, so the lazy sequences of
+    the ingest loaders are never held whole."""
     config = config or DetectorConfig()
     if "motion" in config.enabled_channels and frames is None:
         raise CapabilityError(f"channel {config.channel!r} needs --frames input")
@@ -608,7 +624,7 @@ def run_detector(
         raise CapabilityError(f"channel {config.channel!r} needs --activations input")
     frame_count = stream_length(frames, activations)
     plan_windows(frame_count, config.w, config.stride)  # validates length early
-    det = StreamingDetector(config)
+    det = StreamingDetector(config, trace)
     for i in range(frame_count):
         det.push(
             frames[i] if frames is not None else None,
@@ -619,7 +635,7 @@ def run_detector(
 
 
 # ---------------------------------------------------------------------------
-# Score CSV and debug dumps
+# Score CSV
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(series: ScoreSeries, path) -> None:
@@ -680,29 +696,3 @@ def read_scores_csv(path) -> dict[str, np.ndarray | None]:
             out[name] = values
     return out
 
-
-def dump_profiles_csv(result: DetectionResult, path) -> None:
-    """One row per (window, channel, bin, loop), in that order: the accuracy profile dump."""
-    with open(path, "w") as fh:
-        fh.write("window_id,bin,channel,loop,accuracy\n")
-        for j in range(len(result.windows)):
-            for ch, accuracies in result.accuracies.items():
-                for b, profile in enumerate(accuracies[j]):
-                    for loop, acc in enumerate(profile):
-                        fh.write(f"{j},{b},{ch},{loop},{acc:.17g}\n")
-
-
-def dump_bins_json(result: DetectionResult, path) -> None:
-    """Per-window bin scores keyed by window id, for debugging."""
-    import json
-
-    payload = {
-        str(j): {
-            "start": int(start),
-            **{ch: [float(v) for v in scores[j]] for ch, scores in result.bin_scores.items()},
-        }
-        for j, start in enumerate(result.windows)
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

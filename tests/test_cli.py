@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -82,53 +83,78 @@ def test_run_is_deterministic(video, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_optional_dumps(video, tmp_path):
+def _check_trace(path, k):
+    """Parse a --trace file and check each channel's entry of each line:
+    a trained bin's score is the mean of its k accuracies, bit for bit,
+    and any other bin scored chance. Returns the lines and the trained
+    (window, channel, bin) triples."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    trained = set()
+    for line in lines:
+        for ch in set(line) - {"window", "start"}:
+            fits = line[ch]["trained"]
+            for b, value in enumerate(line[ch]["scores"]):
+                fit = fits.get(str(b))
+                if fit is None:  # no fit
+                    assert value == 0.5
+                    continue
+                trained.add((line["window"], ch, b))
+                assert len(fit["accuracies"]) == len(fit["iterations"]) == k
+                assert value == float(np.mean(fit["accuracies"]))  # bit for bit
+                assert min(fit["examples"]) >= 2
+            assert set(fits) <= {str(b) for b in range(len(line[ch]["scores"]))}
+    return lines, trained
+
+
+def test_run_trace(video, tmp_path):
     maps = tmp_path / "maps.npz"
-    prof = tmp_path / "profiles.csv"
-    bins = tmp_path / "bins.json"
-    rc, _ = _run(
-        video, tmp_path, "--maps-out", str(maps), "--dump-profiles", str(prof),
-        "--dump-bins", str(bins),
-    )
+    trace = tmp_path / "trace.jsonl"
+    rc, _ = _run(video, tmp_path, "--maps-out", str(maps), "--trace", str(trace))
     assert rc == 0
     with np.load(maps) as doc:
         assert doc["motion"].shape == (120, 12, 16)
-    header, *rows = prof.read_text().splitlines()
-    assert header == "window_id,bin,channel,loop,accuracy"
-    doc = json.loads(bins.read_text())
-    assert len(doc) == 21
-    assert doc["0"]["start"] == 0
-    assert len(doc["0"]["motion"]) == 4
-    # windows x bins x k rows; each bin score is the mean of its k accuracies
     k = json.loads((tmp_path / "scores.csv.manifest.json").read_text())["config"]["k"]
-    assert len(rows) == 21 * 4 * k
-    accuracies = {}
-    for row in rows:
-        window, b, channel, _, acc = row.split(",")
-        accuracies.setdefault((window, int(b), channel), []).append(float(acc))
-    assert len(accuracies) == 21 * 4
-    for (window, b, channel), accs in accuracies.items():
-        assert len(accs) == k
-        assert doc[window][channel][b] == float(np.mean(accs))
-    # rows run window-major: window, channel, bin, loop
-    keys = [tuple(row.split(",")[:4]) for row in rows]
-    assert keys == [
-        (str(j), str(b), "motion", str(loop))
-        for j in range(21) for b in range(4) for loop in range(k)
-    ]
-    # a second channel must not pull its rows ahead of later windows
+    lines, trained = _check_trace(trace, k)
+    assert [(line["window"], line["start"]) for line in lines] == [(j, 5 * j) for j in range(21)]
+    assert all(list(line) == ["window", "start", "motion"] for line in lines)
+    assert all(len(line["motion"]["scores"]) == 4 for line in lines)
+    assert len(trained) == 21 * 4  # the clip's noise moves every bin
+    # a fusion run whose motion changes in the top-left bin only: every
+    # line holds motion before appearance, and motion bins 1-3 get no fit
+    frames = synth.noise_video(30, seed=1)
+    for f in frames:
+        f.pixels[60:, :] = f.pixels[:, 80:] = 0.5
     clip, acts = tmp_path / "clip.y8", tmp_path / "clip.umk1"
-    write_frames_y8(synth.noise_video(30, seed=1), clip)
+    write_frames_y8(frames, clip)
     write_activations(synth.noise_activations(30, seed=1), acts)
-    fusion_prof = tmp_path / "fusion_profiles.csv"
+    fusion_trace = tmp_path / "fusion.jsonl"
     rc = main(["run", "--frames", str(clip), "--activations", str(acts), "--k", "2",
-               "--out", str(tmp_path / "fusion.csv"), "--dump-profiles", str(fusion_prof)])
+               "--out", str(tmp_path / "fusion.csv"), "--trace", str(fusion_trace)])
     assert rc == 0
-    keys = [tuple(row.split(",")[:4]) for row in fusion_prof.read_text().splitlines()[1:]]
-    assert keys == [
-        (str(j), str(b), ch, str(loop))
-        for j in range(3) for ch in ("motion", "appearance") for b in range(4) for loop in range(2)
-    ]
+    lines, trained = _check_trace(fusion_trace, 2)
+    assert [list(line) for line in lines] == [["window", "start", "motion", "appearance"]] * 3
+    assert trained == {(j, ch, b) for j in range(3) for ch, bins in
+                       (("motion", [0]), ("appearance", range(4))) for b in bins}
+
+
+def test_run_trace_keeps_the_closed_windows_of_a_failed_run(video, tmp_path, monkeypatch):
+    frames = cli.load_frames(video["frames"], "raw-y8")
+
+    class Shrunk:  # the clip as if it lost its frames from 60 on after the check
+        def __len__(self):
+            return len(frames)
+
+        def __getitem__(self, i):
+            if i >= 60:
+                raise videoanomaly.FormatError(f"frame {i} is missing")
+            return frames[i]
+
+    monkeypatch.setattr(cli, "load_frames", lambda path, fmt: Shrunk())
+    trace = tmp_path / "trace.jsonl"
+    rc, _ = _run(video, tmp_path, "--trace", str(trace))
+    assert rc == 3
+    # window j closes once frame 5j + 19 is pushed
+    assert [json.loads(line)["window"] for line in trace.read_text().splitlines()] == list(range(9))
 
 
 def test_run_config_file_and_flag_precedence(video, tmp_path):
@@ -157,8 +183,9 @@ def test_run_unknown_config_key(video, tmp_path, capsys):
     assert err.startswith("videoanomaly run: error:")
 
 
-@pytest.mark.parametrize("flags", [["--workers", "2"], ["--single-core"]])
-def test_run_removed_worker_flags_exit_2(video, tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags", [["--workers", "2"], ["--single-core"],
+                                   ["--dump-profiles", "x"], ["--dump-bins", "x"]])
+def test_run_removed_flags_exit_2(video, tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         _run(video, tmp_path, *flags)
     assert exc.value.code == 2
@@ -414,6 +441,17 @@ def test_eval_empty_column_exit_2(video, tmp_path, capsys):
                "--column", "score_appearance", "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "score_appearance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["frame", "bogus"])
+def test_eval_takes_only_score_columns(tmp_path, capsys, column):
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scores", str(tmp_path / "s.csv"), "--gt", str(tmp_path / "l.txt"),
+              "--column", column, "--out", str(report)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{column}'" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_eval_label_count_mismatch_exit_3(video, tmp_path, capsys):
@@ -769,6 +807,25 @@ def test_version_and_usage():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # --out is required
     assert exc.value.code == 2
+
+
+def test_readme_names_every_flag():
+    """README's command-line section names every long flag of run, eval
+    and bench."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        opt
+        for command in ("run", "eval", "bench")
+        for action in sub.choices[command]._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert {"--frames-format", "--column", "--map-channel", "--roc-csv", "--trace"} <= flags
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Evaluation semantics")]
+    missing = [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", section)]
+    assert missing == []
 
 
 def _declared_scripts() -> dict[str, str]:

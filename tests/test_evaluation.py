@@ -238,7 +238,7 @@ def _result_with(bin_scores, presence, config, frame_count=20):
     bin_scores = {ch: np.asarray([scores], float) for ch, scores in bin_scores.items()}
     presence = None if presence is None else presence[None]
     series = aggregate(starts, bin_scores, frame_count, config)
-    return DetectionResult(series, config, frame_count, starts, bin_scores, {}, presence, {})
+    return DetectionResult(series, config, frame_count, starts, bin_scores, presence, {})
 
 
 def test_cube_score_map_motion_needs_cube_presence():
@@ -455,7 +455,7 @@ def test_pixel_auc_uniform_maps_score_chance():
     assert pixel_auc(maps, gt, sigma_px=0.0).auc == 0.5
 
 
-def test_pixel_auc_requires_masks_and_alignment():
+def test_pixel_auc_requires_masks_alignment_and_grids():
     maps = np.zeros((3, 12, 16))
     with pytest.raises(CapabilityError):
         pixel_auc(maps, GroundTruth(np.array([0, 1, 0])))
@@ -465,6 +465,24 @@ def test_pixel_auc_requires_masks_and_alignment():
 
     with pytest.raises(AlignmentError):
         pixel_auc(maps, gt)
+    # each grid must be (12, 16) bools, integers or floats, the rule of
+    # load_maps_npz: complex grids lost their imaginary part with a
+    # warning, all-zero (10, 10) grids scored 0.5, (24, 32) grids at sigma
+    # 0 were scored from their top-left corner, and other shapes raised
+    # numpy's matmul ValueError
+    bad = [
+        np.zeros((2, 12, 16), dtype=complex),
+        np.zeros((2, 10, 10)),
+        np.random.default_rng(0).random((2, 24, 32)),
+        np.zeros((2, 12, 17)),
+        [np.zeros((12, 16)), np.zeros((10, 10))],
+        np.array(["0.5", "0.2"]),
+    ]
+    for maps in bad:
+        with pytest.raises(DataError):
+            pixel_auc(maps, gt, sigma_px=0.0)
+    ok = [np.zeros((12, 16), dtype=bool), np.ones((12, 16), dtype=np.uint8)]
+    assert pixel_auc(ok, gt, sigma_px=0.0).auc == 0.0
 
 
 def test_pixel_auc_end_to_end_localizes_synthetic_event():

@@ -83,7 +83,7 @@ for i, mask in enumerate(masks):
     write_pgm(root / "masks" / f"{i:03d}.pgm", mask.astype("uint8") * 255)
 rc = [
     cli.main(["run", "--frames", str(root / "clip.y8"), "--out", str(root / "s.csv"),
-              "--maps-out", str(root / "maps.npz"), "--dump-profiles", str(root / "p.csv")]),
+              "--maps-out", str(root / "maps.npz"), "--trace", str(root / "t.jsonl")]),
     cli.main(["eval", "--scores", str(root / "s.csv"), "--gt", str(root / "labels.txt"),
               "--level", "frame", "--out", str(root / "frame.json")]),
     cli.main(["eval", "--scores", str(root / "s.csv"), "--gt", str(root / "masks"),
@@ -108,8 +108,9 @@ def test_scoring_and_evaluation_load_no_scipy(tmp_path):
     assert doc["rc"] == [0, 0, 0]
     assert doc["scipy"] == []
     # some loop scored above chance, so a fit (and its sigmoid) ran
-    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
-    assert any(float(row.split(",")[-1]) > 0.5 for row in rows)
+    lines = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    assert any(acc > 0.5 for line in lines for fit in line["motion"]["trained"].values()
+               for acc in fit["accuracies"])
     # the maps are not all zero, so pixel eval ranked smoothed values
     assert json.loads((tmp_path / "pixel.json").read_text())["auc"] > 0.5
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,7 +35,7 @@ from videoanomaly.features import (
     WORK_W,
     gradient_feature,
 )
-from videoanomaly.unmasking import MIN_PER_CLASS, WindowBatch, score
+from videoanomaly.unmasking import CHANCE, MIN_PER_CLASS, WindowBatch, score
 
 from test_features import GATE_CASES, _cube_grid_reference, _gate_stack, _static_gate
 
@@ -508,7 +510,8 @@ def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count
     acts = _mixed_activations(frame_count)
     for sigma in (0.0, 3.0, 10.0):
         config = DetectorConfig(w=w, stride=stride, k=2, smooth_sigma=sigma, channel=channel)
-        det = StreamingDetector(config)
+        trace = io.StringIO()
+        det = StreamingDetector(config, trace)
         emitted = 0
         checks = []  # (windows closed so far, first frame, emissions)
         for f, a in zip(frames, acts):
@@ -529,11 +532,18 @@ def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count
             assert _bits(out) == _bits(expected)
         assert np.array_equal(result.windows, np.arange(windows) * stride)
         assert (result.presence is None) == (channel == "appearance")
+        lines = [json.loads(line) for line in trace.getvalue().splitlines()]
+        assert [line["window"] for line in lines] == list(range(windows))
         for ch in config.enabled_channels:
-            accuracies = result.accuracies[ch]
-            assert accuracies.shape == (windows, config.n_bins(ch), config.k)
-            means = [[float(np.mean(acc)) for acc in row] for row in accuracies]
-            assert result.bin_scores[ch].tolist() == means  # bit for bit
+            assert result.bin_scores[ch].tolist() == [line[ch]["scores"] for line in lines]
+            # each bin score is the mean of its k accuracies, bit for bit;
+            # a bin with no fit has k chance accuracies
+            for line in lines:
+                fits = line[ch]["trained"]
+                for b, value in enumerate(line[ch]["scores"]):
+                    fit = fits.get(str(b), {"accuracies": [CHANCE] * config.k})
+                    assert len(fit["accuracies"]) == config.k
+                    assert value == float(np.mean(fit["accuracies"]))
 
 
 def _window_batch_reference(window, bin, channel, store):
@@ -570,7 +580,12 @@ def _window_batch_reference(window, bin, channel, store):
 class _UnskippedDetector(StreamingDetector):
     """Oracle for the skipped bins: every (channel, bin) of every window
     gets a batch and an unmask call, degenerate or not, and every window
-    stores rows of its own."""
+    stores rows of its own. ``profiles`` keeps (window, channel, bin,
+    class counts, profile) per call."""
+
+    def __init__(self, config, trace=None):
+        super().__init__(config, trace)
+        self.profiles = []
 
     def _close_window(self, window_id):
         cfg, store = self.config, self.store
@@ -586,7 +601,10 @@ class _UnskippedDetector(StreamingDetector):
         store.evict_below(start + cfg.stride)
         for ch, channel_batches in batches.items():
             profiles = [pipeline.unmask(b, cfg.k, cfg.m, cfg.lam) for b in channel_batches]
-            self._accuracies[ch].append(np.array([p.accuracies for p in profiles]))
+            self.profiles.extend(
+                (window_id, ch, b, batch.class_counts(), p)
+                for b, (batch, p) in enumerate(zip(channel_batches, profiles))
+            )
             self._bin_scores[ch].append(np.array([score(p) for p in profiles]))
 
 
@@ -615,8 +633,9 @@ def _exact(a, b):
 
 
 def _run_counting(detector_cls, config, frames, acts, monkeypatch):
-    """Push the stream; returns emissions, the result and the (n0, n1)
-    class counts of every unmask call."""
+    """Push the stream through a detector with a trace; returns
+    emissions, the result, the (n0, n1) class counts of every unmask call
+    and the detector."""
     calls = []
     real = pipeline.unmask
 
@@ -625,13 +644,13 @@ def _run_counting(detector_cls, config, frames, acts, monkeypatch):
         return real(batch, *args)
 
     monkeypatch.setattr(pipeline, "unmask", counting)
-    det = detector_cls(config)
+    det = detector_cls(config, io.StringIO())
     emissions = []
     for f, a in zip(frames, acts):
         emissions.extend(det.push(f, a))
     tail, result = det.finalize()
     monkeypatch.setattr(pipeline, "unmask", real)
-    return emissions + tail, result, calls
+    return emissions + tail, result, calls, det
 
 
 def _stream(name, frame_count):
@@ -702,14 +721,31 @@ SKIP_STREAMS = ["placed", "static", "noise", "fusion", "stride3", "appearance_w1
 @pytest.mark.parametrize("stream", SKIP_STREAMS)
 def test_skipped_bins_match_unskipped_oracle(stream, monkeypatch):
     config, frames, acts = _stream(stream, 80)
-    got, result, calls = _run_counting(StreamingDetector, config, frames, acts, monkeypatch)
-    want, oracle, oracle_calls = _run_counting(
+    got, result, calls, det = _run_counting(StreamingDetector, config, frames, acts, monkeypatch)
+    want, oracle, oracle_calls, oracle_det = _run_counting(
         _UnskippedDetector, config, frames, acts, monkeypatch
     )
     assert _bits(got) == _bits(want)
     for ch in config.enabled_channels:
         assert _exact(result.bin_scores[ch], oracle.bin_scores[ch])
-        assert _exact(result.accuracies[ch], oracle.accuracies[ch])
+    # the trace has a line per window, with or without a fit; its trained
+    # bins are exactly the oracle's calls with MIN_PER_CLASS examples of
+    # each class, with equal profiles; every other oracle profile is all
+    # chance
+    lines = [json.loads(line) for line in det.trace.getvalue().splitlines()]
+    assert [line["window"] for line in lines] == list(range(len(result.windows)))
+    traced = {
+        (line["window"], ch, int(b)): (fit["examples"], fit["accuracies"], fit["iterations"])
+        for line in lines
+        for ch in config.enabled_channels
+        for b, fit in line[ch]["trained"].items()
+    }
+    assert traced == {
+        (j, ch, b): (list(counts), p.accuracies.tolist(), p.iterations)
+        for j, ch, b, counts, p in oracle_det.profiles if min(counts) >= MIN_PER_CLASS
+    }
+    assert all((p.accuracies == CHANCE).all()
+               for *_, counts, p in oracle_det.profiles if min(counts) < MIN_PER_CLASS)
     if stream == "appearance_w1":
         assert result.presence is oracle.presence is None
     else:
@@ -807,6 +843,26 @@ def test_detector_memory_growth_per_frame():
     finally:
         tracemalloc.stop()
     assert growth / 2000 <= 25
+
+
+def test_detector_memory_growth_per_frame_when_every_window_trains():
+    """On noise every bin of every window trains (m=500 drops all 500
+    features after the first loop, so one fit per bin). A window keeps its
+    bin-score row and presence grid, not its accuracy profiles: about
+    116 B per pushed frame, against 207 B when the (n_bins, k) profiles
+    were kept too."""
+    rng = np.random.default_rng(0)
+    det = StreamingDetector(DetectorConfig(m=500))
+    tracemalloc.start()
+    try:
+        for i in range(600):
+            det.push(Frame(i, WORK_W, WORK_H, rng.random((WORK_H, WORK_W))))
+            if i + 1 == 300:
+                at_300 = tracemalloc.get_traced_memory()[0]
+        growth = tracemalloc.get_traced_memory()[0] - at_300
+    finally:
+        tracemalloc.stop()
+    assert growth / 300 <= 150, growth / 300
 
 
 def test_streaming_emission_is_prompt():
