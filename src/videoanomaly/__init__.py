@@ -7,35 +7,23 @@ the anomaly score (easily separable halves = something changed). Includes
 motion features (3D gradient cubes), appearance features (binned conv
 activation maps), late fusion, temporal smoothing, and frame-level /
 pixel-level ROC AUC evaluation.
+
+The root exports what README's "Python API" section documents; helpers
+and internals are imported from their modules.
 """
 
 from .errors import (
     AlignmentError,
     CapabilityError,
     DataError,
-    DegenerateBatchError,
     FormatError,
     OrderingError,
     StreamTooShortError,
     TruncationError,
     VideoAnomalyError,
 )
-from .evaluation import (
-    RocReport,
-    cube_score_map,
-    frame_auc,
-    grid_to_pixels,
-    load_maps_npz,
-    pixel_auc,
-    smooth_map,
-    write_maps_npz,
-)
-from .features import (
-    BinLayout,
-    bin_activations,
-    cube_grid,
-    gradient_feature,
-)
+from .evaluation import RocReport, cube_score_map, frame_auc, pixel_auc
+from .features import BinLayout, bin_activations, cube_grid, gradient_feature
 from .ingest import (
     ActivationFrame,
     Frame,
@@ -43,38 +31,16 @@ from .ingest import (
     load_activations,
     load_frames,
     load_ground_truth,
-    load_labels,
-    load_masks,
-    read_pnm,
-    resize_bilinear,
-    write_activations,
-    write_frames_y8,
-    write_pgm,
 )
 from .pipeline import (
     DetectionResult,
     DetectorConfig,
     Emission,
-    FeatureStore,
     ScoreSeries,
     StreamingDetector,
-    aggregate,
-    plan_windows,
-    read_scores_csv,
     run_detector,
-    smooth,
-    window_batch,
-    write_scores_csv,
 )
-from .unmasking import (
-    ClassifierState,
-    UnmaskingProfile,
-    WindowBatch,
-    eliminate_features,
-    score,
-    train_logistic,
-    unmask,
-)
+from .unmasking import UnmaskingProfile, WindowBatch, score, unmask
 
 __version__ = "0.1.0"
 
@@ -83,13 +49,10 @@ __all__ = [
     "AlignmentError",
     "BinLayout",
     "CapabilityError",
-    "ClassifierState",
     "DataError",
-    "DegenerateBatchError",
     "DetectionResult",
     "DetectorConfig",
     "Emission",
-    "FeatureStore",
     "FormatError",
     "Frame",
     "GroundTruth",
@@ -102,35 +65,16 @@ __all__ = [
     "UnmaskingProfile",
     "VideoAnomalyError",
     "WindowBatch",
-    "aggregate",
     "bin_activations",
     "cube_grid",
     "cube_score_map",
-    "eliminate_features",
     "frame_auc",
     "gradient_feature",
-    "grid_to_pixels",
     "load_activations",
     "load_frames",
     "load_ground_truth",
-    "load_labels",
-    "load_maps_npz",
-    "load_masks",
     "pixel_auc",
-    "plan_windows",
-    "read_pnm",
-    "read_scores_csv",
-    "resize_bilinear",
     "run_detector",
     "score",
-    "smooth",
-    "smooth_map",
-    "train_logistic",
     "unmask",
-    "window_batch",
-    "write_activations",
-    "write_frames_y8",
-    "write_maps_npz",
-    "write_pgm",
-    "write_scores_csv",
 ]

@@ -36,7 +36,3 @@ class StreamTooShortError(VideoAnomalyError):
 
 class CapabilityError(VideoAnomalyError):
     """The requested computation needs inputs that were not provided."""
-
-
-class DegenerateBatchError(VideoAnomalyError):
-    """A training batch does not contain both classes."""

@@ -14,8 +14,8 @@ Scores are final as soon as every window covering a frame has closed, so
 the detector emits them online with bounded lookahead: at the close of
 window j, frames below (j+1)*s + w are finalized. The emitted smoothed
 value uses the truncated kernel over the finalized prefix; finalize()
-recomputes the whole series from the per-window bin scores and is
-bit-identical to a batch run over the same input.
+recomputes the whole series from the per-window bin scores, emits the tail
+from it, and is bit-identical to a batch run over the same input.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ from .unmasking import CHANCE, MIN_PER_CLASS, WindowBatch, score, unmask
 
 CHANNELS = ("motion", "appearance", "fusion")
 CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
+# above the 6,272 loops the widest channel can train (D=12544 at m=2), after
+# which every loop scores chance; a larger k only asks unmask for k-long arrays
+MAX_K = 10_000
 
 
 @dataclass
@@ -78,8 +81,8 @@ class DetectorConfig:
         # frame from w onward is covered by some window
         if self.stride > self.w:
             raise ValueError(f"stride {self.stride} must not exceed w {self.w}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.m < 2 or self.m % 2:
             raise ValueError(f"m must be even and >= 2, got {self.m}")
         if not 0 < self.lam < math.inf:
@@ -384,10 +387,12 @@ def aggregate(
 
 @dataclass
 class Emission:
-    """One finalized frame score, emitted online.
+    """One frame's scores, emitted once every window covering it has closed.
 
-    ``smoothed`` uses the truncated kernel over the finalized prefix and
-    therefore firms up to the batch value once the stream moves on.
+    ``motion``, ``appearance`` and ``fused`` are final. ``smoothed`` is
+    provisional when push() emits it: it uses the kernel truncated at the
+    end of the finalized prefix. The tail that finalize() emits carries
+    the final smoothed values.
     """
 
     frame: int
@@ -518,21 +523,14 @@ class StreamingDetector:
         """Emit frames [emitted, horizon), all of whose windows have closed.
 
         Only the windows whose second halves reach the range are read, so
-        the cost does not grow with stream position.
+        the cost does not grow with stream position. The range always holds
+        a frame of the last closed window's second half, to backfill from.
         """
-        horizon = min(horizon, self.store.frames_seen)
-        if horizon <= self._emitted:
-            return []
-        cfg, closed = self.config, self._next_window
-        # the range must hold a covered frame to backfill from: at the end
-        # of a stride == w stream the last covered frame is already emitted
-        lo = min(self._emitted, (closed - 1) * cfg.stride + 2 * cfg.w - 1)
+        cfg, closed, lo = self.config, self._next_window, self._emitted
         first = max(0, (lo - 2 * cfg.w) // cfg.stride + 1)  # first window reaching lo
         starts = range(first * cfg.stride, closed * cfg.stride, cfg.stride)
         rows = {ch: scores[first:] for ch, scores in self._bin_scores.items()}
         _, per_channel, fused = _frame_scores(starts, rows, cfg, lo, horizon)
-        skip = self._emitted - lo
-        fused = fused[skip:]
         # smoothing the new frames reads radius earlier values; keeping
         # 2*radius makes the series at least as long as the kernel (or the
         # whole prefix), because np.convolve swaps its operands otherwise,
@@ -541,19 +539,22 @@ class StreamingDetector:
         smoothed = smooth(series, cfg.smooth_sigma)[self._recent.size :]
         keep = 2 * math.ceil(3 * cfg.smooth_sigma)
         self._recent = series[max(0, series.size - keep) :]
-        motion = per_channel.get("motion")
-        appearance = per_channel.get("appearance")
+        return self._emit(per_channel, fused, smoothed)
+
+    def _emit(self, per_channel, fused, smoothed) -> list[Emission]:
+        """Emissions of the next len(fused) frames from their values."""
+        motion, appearance = per_channel.get("motion"), per_channel.get("appearance")
         out = [
             Emission(
-                f,
-                None if motion is None else float(motion[skip + i]),
-                None if appearance is None else float(appearance[skip + i]),
+                self._emitted + i,
+                None if motion is None else float(motion[i]),
+                None if appearance is None else float(appearance[i]),
                 float(fused[i]),
                 float(smoothed[i]),
             )
-            for i, f in enumerate(range(self._emitted, horizon))
+            for i in range(len(fused))
         ]
-        self._emitted = horizon
+        self._emitted += len(fused)
         return out
 
     def finalize(self) -> tuple[list[Emission], DetectionResult]:
@@ -567,7 +568,6 @@ class StreamingDetector:
                 f"stream has {frame_count} frames, needs at least {2 * self.config.w}"
             )
         t0 = time.perf_counter()
-        tail = self._emit_upto(frame_count)
         windows = np.arange(self._next_window) * self.config.stride
         bin_scores = {ch: np.stack(rows) for ch, rows in self._bin_scores.items()}
         presence = np.stack(self._presence) if self._presence else None
@@ -578,6 +578,9 @@ class StreamingDetector:
         self._bin_scores.clear()
         self._presence.clear()
         series = aggregate(windows, bin_scores, frame_count, self.config)
+        lo = self._emitted
+        per_channel = {ch: values[lo:] for ch, values in series.per_channel.items()}
+        tail = self._emit(per_channel, series.fused[lo:], series.smoothed[lo:])
         self.predict_seconds += time.perf_counter() - t0
         result = DetectionResult(
             series,

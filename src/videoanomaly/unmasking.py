@@ -56,8 +56,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBatchError
-
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
@@ -301,9 +299,7 @@ def train_logistic(
         raise ValueError(f"regularization strength must be > 0 and finite, got {lam}")
     n0, n1 = batch.class_counts()
     if n0 == 0 or n1 == 0:
-        raise DegenerateBatchError(
-            f"batch needs both classes, got {n0} normal / {n1} abnormal"
-        )
+        raise ValueError(f"batch needs both classes, got {n0} normal / {n1} abnormal")
     n = batch.x.shape[0]
     if active.size >= GRAM_MIN_RATIO * n:
         xw, gram = _gram if _gram is not None else _gram_state(batch.x, active)

@@ -25,15 +25,13 @@ from videoanomaly import (
     gradient_feature,
     bin_activations,
     load_frames,
-    load_masks,
     pixel_auc,
     run_detector,
     score,
     unmask,
-    write_frames_y8,
 )
 from videoanomaly.cli import main
-from videoanomaly.ingest import ActivationFrame
+from videoanomaly.ingest import ActivationFrame, load_masks, write_frames_y8
 from videoanomaly import synth
 
 

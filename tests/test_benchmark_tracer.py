@@ -15,14 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videoanomaly import (
-    DetectorConfig,
-    Frame,
-    StreamingDetector,
-    cli,
-    synth,
-    write_frames_y8,
-)
+from videoanomaly import DetectorConfig, Frame, StreamingDetector, cli, synth
+from videoanomaly.ingest import write_frames_y8
 from videoanomaly.features import STATIC_EPS
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"

@@ -18,16 +18,11 @@ import numpy as np
 import pytest
 
 import videoanomaly
-from videoanomaly import (
-    ActivationFrame,
-    read_scores_csv,
-    write_activations,
-    write_frames_y8,
-    write_pgm,
-)
+from videoanomaly import ActivationFrame
 from videoanomaly import cli
 from videoanomaly.cli import main
-from videoanomaly.pipeline import CSV_HEADER, DetectorConfig
+from videoanomaly.ingest import write_activations, write_frames_y8, write_pgm
+from videoanomaly.pipeline import CSV_HEADER, DetectorConfig, read_scores_csv
 from videoanomaly import synth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -386,8 +381,10 @@ def test_run_manifest_sha256_of_every_input(tmp_path):
 
 
 def test_run_invalid_parameter_exit_2(video, tmp_path):
-    rc, _ = _run(video, tmp_path, "--stride", "11")
-    assert rc == 2
+    # a k this large is refused before any window asks for k-long arrays
+    for flag, value in [("--stride", "11"), ("--k", "100000000000")]:
+        rc, _ = _run(video, tmp_path, flag, value)
+        assert rc == 2
 
 
 def test_run_zero_lambda_exit_2(video, tmp_path, capsys):

@@ -13,17 +13,14 @@ from videoanomaly import (
     DetectionResult,
     DetectorConfig,
     GroundTruth,
-    aggregate,
     cube_score_map,
     frame_auc,
-    grid_to_pixels,
-    load_maps_npz,
     pixel_auc,
     run_detector,
-    smooth_map,
-    write_maps_npz,
 )
 from videoanomaly import evaluation, synth
+from videoanomaly.evaluation import grid_to_pixels, load_maps_npz, smooth_map, write_maps_npz
+from videoanomaly.pipeline import aggregate
 
 
 # ---------------------------------------------------------------- frame AUC

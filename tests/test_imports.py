@@ -72,7 +72,8 @@ import json, sys
 from pathlib import Path
 
 import videoanomaly
-from videoanomaly import cli, synth, write_frames_y8, write_pgm
+from videoanomaly import cli, synth
+from videoanomaly.ingest import write_frames_y8, write_pgm
 
 root = Path(sys.argv[1])
 frames, labels, masks = synth.block_event_video(frame_count=120, active_range=(60, 90))

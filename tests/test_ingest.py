@@ -16,17 +16,21 @@ from videoanomaly import (
     load_activations,
     load_frames,
     load_ground_truth,
+    run_detector,
+)
+from videoanomaly import synth
+from videoanomaly.ingest import (
+    ActivationFrame,
+    _axis_coords,
+    _resize_plan,
     load_labels,
     load_masks,
     read_pnm,
     resize_bilinear,
-    run_detector,
     write_activations,
     write_frames_y8,
     write_pgm,
 )
-from videoanomaly import synth
-from videoanomaly.ingest import ActivationFrame, _axis_coords, _resize_plan
 
 
 def _frames(count, h=6, w=8, seed=0):

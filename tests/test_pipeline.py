@@ -13,20 +13,22 @@ from videoanomaly import (
     CapabilityError,
     DetectorConfig,
     Emission,
-    FeatureStore,
     FormatError,
     Frame,
     StreamingDetector,
     StreamTooShortError,
+    run_detector,
+)
+from videoanomaly import pipeline, synth
+from videoanomaly.pipeline import (
+    FeatureStore,
     aggregate,
     plan_windows,
     read_scores_csv,
-    run_detector,
     smooth,
     window_batch,
     write_scores_csv,
 )
-from videoanomaly import pipeline, synth
 from videoanomaly.features import (
     CUBE_DIM,
     STACK,

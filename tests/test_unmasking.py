@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from videoanomaly import (
-    ClassifierState,
-    DegenerateBatchError,
-    DetectorConfig,
-    FeatureStore,
-    WindowBatch,
-    eliminate_features,
-    score,
-    synth,
-    train_logistic,
-    unmask,
-    unmasking,
-)
+from videoanomaly import DetectorConfig, WindowBatch, score, synth, unmask, unmasking
 from videoanomaly.features import CUBE_DIM, STACK, WORK_H, WORK_W, cube_grid
-from videoanomaly.pipeline import window_batch
-from videoanomaly.unmasking import GRAD_TOL, GRAM_MIN_RATIO, MAX_ITER, UnmaskingProfile
+from videoanomaly.pipeline import FeatureStore, window_batch
+from videoanomaly.unmasking import (
+    GRAD_TOL,
+    GRAM_MIN_RATIO,
+    MAX_ITER,
+    ClassifierState,
+    UnmaskingProfile,
+    eliminate_features,
+    train_logistic,
+)
 
 
 def _separable_batch(n_per_class=10, dim=20, margin=2.0, seed=0):
@@ -286,7 +282,7 @@ def test_heavy_regularization_collapses_to_base_rate():
 
 def test_single_class_batch_raises():
     x = np.random.default_rng(0).normal(size=(6, 4))
-    with pytest.raises(DegenerateBatchError):
+    with pytest.raises(ValueError, match="both classes"):
         train_logistic(WindowBatch(x, np.zeros(6)), np.arange(4), lam=0.1)
 
 
