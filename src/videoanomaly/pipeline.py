@@ -20,6 +20,7 @@ from it, and is bit-identical to a batch run over the same input.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -47,7 +48,7 @@ from .features import (
     cube_rows,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
-from .unmasking import CHANCE, MIN_PER_CLASS, WindowBatch, score, unmask
+from .unmasking import CHANCE, MIN_LAM, MIN_PER_CLASS, WindowBatch, score, unmask
 
 CHANNELS = ("motion", "appearance", "fusion")
 CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
@@ -85,8 +86,10 @@ class DetectorConfig:
             raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.m < 2 or self.m % 2:
             raise ValueError(f"m must be even and >= 2, got {self.m}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        if not MIN_LAM <= self.lam < math.inf:
+            raise ValueError(
+                f"lambda must be > 0 and finite (at least {MIN_LAM!r}), got {self.lam}"
+            )
         if not 0 <= self.smooth_sigma < math.inf:
             raise ValueError(f"smooth-sigma must be >= 0 and finite, got {self.smooth_sigma}")
         if "motion" in self.enabled_channels and self.w % STACK:
@@ -250,12 +253,17 @@ def window_batch(
     start), slot by slot in row-major cell order, labeled by the half the
     slot starts in. Appearance examples are the per-frame bin vectors, so
     every bin trains exactly when w >= MIN_PER_CLASS.
+
+    A motion window whose slots kept no cell returns {} early, without
+    counting examples: every bin of a static window is degenerate.
     """
     start, end = window
     w = (end - start) // 2
     n_bins = store.config.n_bins(channel)
     if channel == "motion":
         slots = [store.slot(s) for s in range(start, end, STACK)]
+        if not any(len(rows) for rows, _ in slots):
+            return {}
         cell_bins = [store.bin_grid[keep] for _, keep in slots]  # bin of each row
         half = w // STACK
         counts = [  # examples per bin in each half
@@ -332,7 +340,25 @@ def gaussian_taps(sigma: float, length: int) -> np.ndarray:
     """
     radius = min(math.ceil(3 * sigma), length)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    return np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    # a sigma so small that 2 sigma^2 underflows to 0 would make the
+    # center tap exp(-0/0); every other tap is then exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    taps[radius] = 1.0
+    return taps
+
+
+@functools.lru_cache(maxsize=2)
+def _smoothing_kernel(sigma: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """smooth's taps and border denominator for a series of ``length``,
+    read-only. Two entries hold a stream's steady emission length and
+    finalize()'s whole-series length."""
+    taps = gaussian_taps(sigma, length)
+    radius = taps.size // 2
+    den = np.convolve(np.ones(length), taps)[radius : radius + length].copy()
+    for array in (taps, den):  # shared by every caller through the cache
+        array.setflags(write=False)
+    return taps, den
 
 
 def smooth(series, sigma: float) -> np.ndarray:
@@ -347,10 +373,9 @@ def smooth(series, sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     if sigma == 0 or x.size == 0:
         return x.copy()
-    taps = gaussian_taps(sigma, x.size)
+    taps, den = _smoothing_kernel(float(sigma), x.size)
     radius = taps.size // 2
     num = np.convolve(x, taps)[radius : radius + x.size]
-    den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
     return np.clip(num / den, 0.0, 1.0)
 
 
@@ -362,7 +387,9 @@ def _frame_scores(starts, bin_scores, config: DetectorConfig, lo: int, hi: int):
         for ch in config.enabled_channels
     }
     per_channel = {ch: values.max(axis=1) for ch, values in per_bin.items()}
-    fused = np.mean(list(per_channel.values()), axis=0)
+    series = list(per_channel.values())
+    # the mean of one channel is that channel, bit for bit
+    fused = series[0].copy() if len(series) == 1 else np.mean(series, axis=0)
     return per_bin, per_channel, fused
 
 
@@ -480,7 +507,8 @@ class StreamingDetector:
         would, without a fit. A channel with no trainable bin appends the
         shared read-only chance row, and a window with no kept cell the
         shared empty presence grid, so a static window stores no new
-        array.
+        array. Such a window returns early from window_batch and ORs no
+        keep masks.
 
         The profiles are not kept. Given a trace, the window's JSON line
         goes there: "window", "start" and, per enabled channel in order,
@@ -513,8 +541,11 @@ class StreamingDetector:
                 }
                 line[ch] = {"scores": scores.tolist(), "trained": trained}
         if "motion" in cfg.enabled_channels:
-            presence = np.logical_or.reduce([store.slot(s)[1] for s in range(*window, STACK)])
-            self._presence.append(presence if presence.any() else self._no_presence)
+            slots = [store.slot(s) for s in range(*window, STACK)]
+            if any(len(rows) for rows, _ in slots):
+                self._presence.append(np.logical_or.reduce([keep for _, keep in slots]))
+            else:
+                self._presence.append(self._no_presence)
         store.evict_below(start + cfg.stride)
         if line is not None:
             self.trace.write(json.dumps(line) + "\n")

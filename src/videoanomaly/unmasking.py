@@ -59,6 +59,10 @@ import numpy as np
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
+# the smallest regularization strength accepted: below the smallest normal
+# float, lip / lam overflows, the momentum is inf/inf = NaN and every fit
+# runs to the cap
+MIN_LAM = float(np.finfo(np.float64).tiny)
 # a batch with fewer examples in either class is degenerate: every loop
 # records CHANCE without a fit
 MIN_PER_CLASS = 2
@@ -295,8 +299,10 @@ def train_logistic(
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
         raise ValueError("active feature set is empty")
-    if not 0 < lam < np.inf:
-        raise ValueError(f"regularization strength must be > 0 and finite, got {lam}")
+    if not MIN_LAM <= lam < np.inf:
+        raise ValueError(
+            f"regularization strength must be > 0 and finite (at least {MIN_LAM!r}), got {lam}"
+        )
     n0, n1 = batch.class_counts()
     if n0 == 0 or n1 == 0:
         raise ValueError(f"batch needs both classes, got {n0} normal / {n1} abnormal")
@@ -373,8 +379,10 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
-    if not 0 < lam < np.inf:
-        raise ValueError(f"regularization strength must be > 0 and finite, got {lam}")
+    if not MIN_LAM <= lam < np.inf:
+        raise ValueError(
+            f"regularization strength must be > 0 and finite (at least {MIN_LAM!r}), got {lam}"
+        )
     n0, n1 = batch.class_counts()
     degenerate = n0 < MIN_PER_CLASS or n1 < MIN_PER_CLASS
     active = np.arange(batch.dim, dtype=np.intp)

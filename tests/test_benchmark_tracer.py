@@ -88,6 +88,28 @@ def test_traced_static_drop_matches_oracle(tracer):
     assert 0.9 < static / (6 * 192) < 1
 
 
+def test_traced_static_stream_times_every_close(tracer):
+    """A static window returns early from window_batch and a steady
+    emission reuses its smoothing kernel, but both still go through the
+    patched names: one ``pipeline.window_batch`` span per closed window,
+    one ``pipeline.smooth`` span per emitting close plus finalize's, so
+    ``pipeline.window_batch_s`` and ``pipeline.smooth_s`` keep timing."""
+    pixels = np.random.default_rng(2).random((120, 160))
+    det = StreamingDetector(DetectorConfig(k=2))
+    with tracer.Tracer() as tr:
+        for t in range(300):
+            det.push(Frame(t, 160, 120, pixels))
+        _, result = det.finalize()
+    windows = len(result.windows)
+    assert windows == (300 - 20) // 5 + 1
+    assert tr.names.count("pipeline.window_batch") == windows
+    assert len(tr.emitting) == windows  # every close emits
+    assert tr.names.count("pipeline.smooth") == windows + 1
+    assert "unmasking.unmask" not in tr.names
+    spent = tr.self_by_name()
+    assert spent["pipeline.window_batch"] > 0 and spent["pipeline.smooth"] > 0
+
+
 @pytest.mark.parametrize("stride", [5, 3])
 def test_traced_stream_counts_the_slots_windows_read(tracer, stride):
     """The store computes a slot when its fifth frame arrives, so the

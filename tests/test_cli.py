@@ -380,11 +380,13 @@ def test_run_manifest_sha256_of_every_input(tmp_path):
     assert digest["sha256"] == sha(*(p.name.encode() + p.read_bytes() for p in files))
 
 
-def test_run_invalid_parameter_exit_2(video, tmp_path):
-    # a k this large is refused before any window asks for k-long arrays
-    for flag, value in [("--stride", "11"), ("--k", "100000000000")]:
+def test_run_invalid_parameter_exit_2(video, tmp_path, capsys):
+    # a k this large is refused before any window asks for k-long arrays;
+    # a subnormal lambda before its fits' step size overflows to NaN
+    for flag, value in [("--stride", "11"), ("--k", "100000000000"), ("--lambda", "1e-310")]:
         rc, _ = _run(video, tmp_path, flag, value)
         assert rc == 2
+        assert f"ValueError: {flag[2:]} " in capsys.readouterr().err
 
 
 def test_run_zero_lambda_exit_2(video, tmp_path, capsys):
@@ -607,6 +609,31 @@ def test_run_and_eval_take_a_huge_sigma(video, tmp_path):
                "--level", "pixel", "--maps", str(maps), "--sigma-px", "1e9",
                "--out", str(tmp_path / "pixel.json")])
     assert rc == 0
+
+
+def test_run_and_eval_take_a_sigma_whose_square_underflows(video, tmp_path, capsys):
+    """At sigma 1e-300, 2 sigma^2 is 0: smoothing is the identity, with
+    finite scores and no warning, and pixel evaluation reports exactly
+    what sigma 0 reports."""
+    maps = tmp_path / "maps.npz"
+    rc, scores = _run(video, tmp_path, "--smooth-sigma", "1e-300", "--maps-out", str(maps))
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    columns = read_scores_csv(scores)
+    assert columns["score_smoothed"].tobytes() == columns["score_fused"].tobytes()
+    rc = main(["eval", "--scores", str(scores), "--gt", str(video["labels"]),
+               "--out", str(tmp_path / "frame.json")])
+    assert rc == 0
+    reports = {}
+    for sigma in ("0", "1e-300"):
+        report = tmp_path / f"pixel_{sigma}.json"
+        rc = main(["eval", "--scores", str(scores), "--gt", str(video["masks"]),
+                   "--level", "pixel", "--maps", str(maps), "--sigma-px", sigma,
+                   "--out", str(report)])
+        assert rc == 0
+        reports[sigma] = report.read_bytes(), Path(str(report) + ".roc.csv").read_bytes()
+    assert reports["1e-300"] == reports["0"]
+    assert capsys.readouterr().err == ""
 
 
 def test_eval_pixel_without_masks_exit_2(video, tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,8 @@ def test_config_validation():
         DetectorConfig(lam=float("inf"))
     with pytest.raises(ValueError):
         DetectorConfig(lam=float("nan"))
+    with pytest.raises(ValueError):
+        DetectorConfig(lam=1e-310)  # subnormal: every fit would score chance
     with pytest.raises(ValueError):
         DetectorConfig(smooth_sigma=-1)
     with pytest.raises(ValueError):
@@ -345,6 +348,100 @@ def test_smooth_rejects_negative_sigma():
     for sigma in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             smooth(np.zeros(5), sigma)
+
+
+def test_smooth_takes_a_sigma_whose_square_underflows():
+    """Below sigma ~ 1.5e-162, 2 sigma^2 is 0: the center tap is exactly 1
+    and every other tap 0, so smoothing is the identity, with no warning;
+    between there and the normal range it divides by a subnormal."""
+    x = np.random.default_rng(10).random(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma in (5e-324, 1e-300, 1e-200, 1e-160):
+            assert pipeline.gaussian_taps(sigma, 50).tolist() == [0.0, 1.0, 0.0]
+            assert smooth(x, sigma).tobytes() == x.tobytes(), sigma
+
+
+def _smooth_uncached(x, sigma):
+    """smooth with its taps and denominator built at every call: the
+    oracle of the kernel cache."""
+    import math
+
+    x = np.asarray(x, dtype=np.float64)
+    if sigma == 0 or x.size == 0:
+        return x.copy()
+    radius = min(math.ceil(3 * sigma), x.size)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    num = np.convolve(x, taps)[radius : radius + x.size]
+    den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
+    return np.clip(num / den, 0.0, 1.0)
+
+
+def _static_frames(frame_count, seed=0):
+    pixels = np.random.default_rng(seed).random((WORK_H, WORK_W))
+    return (Frame(i, WORK_W, WORK_H, pixels) for i in range(frame_count))
+
+
+@pytest.mark.parametrize("w,stride", [(10, 5), (10, 1), (20, 7)])
+def test_cached_smooth_matches_uncached_at_every_emission_length(w, stride, monkeypatch):
+    """Every series a 400-frame stream smooths, emission by emission and
+    then whole at finalize(), smooths to the uncached result bit for bit;
+    so does a random series of each of those lengths, in the same order,
+    so the cache is hit as a stream hits it."""
+    rng = np.random.default_rng(w + stride)
+    real = pipeline.smooth
+    calls = []  # (input, output) of every smooth call of one stream
+
+    def recording(series, sigma):
+        out = real(series, sigma)
+        calls.append((np.array(series, dtype=np.float64), out.copy()))
+        return out
+
+    monkeypatch.setattr(pipeline, "smooth", recording)
+    for sigma in (0.5, 1.0, 3.0, 10.0, 40.0):
+        pipeline._smoothing_kernel.cache_clear()
+        calls.clear()
+        det = StreamingDetector(DetectorConfig(w=w, stride=stride, smooth_sigma=sigma))
+        for frame in _static_frames(400):
+            det.push(frame)
+        det.finalize()
+        lengths = [series.size for series, _ in calls]
+        assert lengths[-1] == 400 and len(set(lengths[:-1])) > 1
+        for series, out in calls:
+            assert out.tobytes() == _smooth_uncached(series, sigma).tobytes()
+        for length in lengths:
+            x = rng.random(length)
+            assert real(x, sigma).tobytes() == _smooth_uncached(x, sigma).tobytes()
+
+
+def test_smoothing_kernel_cache_stays_small(monkeypatch):
+    """The cache holds at most two kernels, read-only, and while 6,000
+    static frames are pushed none is longer than a steady emission's
+    series plus the first window's second half."""
+    import math
+
+    config = DetectorConfig()
+    bound = 2 * math.ceil(3 * config.smooth_sigma) + config.w + config.stride
+    real = pipeline._smoothing_kernel
+    sizes = []
+
+    def recording(sigma, length):
+        taps, den = real(sigma, length)
+        assert not taps.flags.writeable and not den.flags.writeable
+        sizes.append(max(taps.size, den.size))
+        return taps, den
+
+    real.cache_clear()
+    monkeypatch.setattr(pipeline, "_smoothing_kernel", recording)
+    det = StreamingDetector(config)
+    for frame in _static_frames(6000):
+        det.push(frame)
+        assert real.cache_info().currsize <= 2
+    assert sizes and max(sizes) <= bound
+    for length in range(1, 20):
+        smooth(np.zeros(length), 3.0)
+    assert real.cache_info().currsize == real.cache_info().maxsize == 2
 
 
 # ------------------------------------------------------------ batch running
@@ -715,6 +812,76 @@ def test_window_batch_matches_per_bin_reference(stream):
         assert {0, 1, 2, 3} <= emptier_halves
     if stream == "appearance_w1":
         assert emptier_halves == {1}
+
+
+def _window_batch_counting(window, channel, store):
+    """window_batch without its early return: every motion window counts
+    its examples per bin, static or not. The oracle of that return."""
+    start, end = window
+    w = (end - start) // 2
+    n_bins = store.config.n_bins(channel)
+    if channel == "motion":
+        slots = [store.slot(s) for s in range(start, end, STACK)]
+        cell_bins = [store.bin_grid[keep] for _, keep in slots]
+        half = w // STACK
+        counts = [
+            np.bincount(np.concatenate(part), minlength=n_bins)
+            for part in (cell_bins[:half], cell_bins[half:])
+        ]
+    else:
+        vectors = [store.appearance(f) for f in range(start, end)]
+        counts = [np.full(n_bins, w)] * 2
+    batches = {}
+    for b in np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS).tolist():
+        if channel == "motion":
+            x = np.concatenate([rows[cells == b] for (rows, _), cells in zip(slots, cell_bins)])
+        else:
+            x = np.stack([v[b] for v in vectors])
+        y = np.repeat(np.arange(2, dtype=np.uint8), (counts[0][b], counts[1][b]))
+        batches[b] = WindowBatch(x, y)
+    return batches
+
+
+@pytest.mark.parametrize("channel", ["motion", "fusion"])
+def test_window_batch_early_return_matches_counting_oracle(channel):
+    """A static scene, then placed cell changes, then noise: windows whose
+    slots are all static, partly static and all moving give the oracle's
+    bins and examples bit for bit."""
+    frame_count = 120
+    placed = _placed_events(frame_count)
+    noise = synth.noise_video(frame_count, seed=9)
+    frames = [
+        Frame(i, WORK_W, WORK_H, (placed[0] if i < 40 else placed[i] if i < 80 else noise[i]).pixels)
+        for i in range(frame_count)
+    ]
+    config = DetectorConfig(k=1, channel=channel)
+    store = FeatureStore(config)
+    for f, a in zip(frames, _mixed_activations(frame_count)):
+        store.add(f, a)
+    kinds = set()
+    for window in plan_windows(frame_count, config.w, config.stride):
+        kept = [int(store.slot(s)[1].sum()) for s in range(*window, STACK)]
+        kinds.add("static" if not any(kept) else "moving" if min(kept) == 192 else "partly")
+        for ch in config.enabled_channels:
+            got, want = window_batch(window, ch, store), _window_batch_counting(window, ch, store)
+            assert list(got) == list(want)
+            for b, batch in want.items():
+                assert _exact(got[b].x, batch.x) and _exact(got[b].y, batch.y)
+    assert kinds == {"static", "partly", "moving"}
+
+
+@pytest.mark.parametrize("channel", ["motion", "appearance"])
+def test_single_channel_fused_is_the_mean_of_one(channel):
+    """With one enabled channel, fused is a copy of its series, bit for bit
+    the mean over the one-element list."""
+    config = DetectorConfig(w=10, stride=3, channel=channel)
+    rng = np.random.default_rng(6)
+    starts = np.arange(30) * config.stride
+    rows = {channel: rng.random((30, config.n_bins(channel)))}
+    for lo, hi in [(0, 110), (37, 52)]:
+        _, per_channel, fused = pipeline._frame_scores(starts, rows, config, lo, hi)
+        assert _exact(fused, np.mean(list(per_channel.values()), axis=0))
+        assert not np.shares_memory(fused, per_channel[channel])
 
 
 SKIP_STREAMS = ["placed", "static", "noise", "fusion", "stride3", "appearance_w1"]

@@ -294,11 +294,25 @@ def test_empty_active_set_raises():
 
 def test_nonpositive_lambda_raises():
     batch = _separable_batch()
-    for lam in (0.0, -0.1, float("nan"), float("inf")):
+    subnormal = (1e-310, np.nextafter(unmasking.MIN_LAM, 0.0), 5e-324)
+    for lam in (0.0, -0.1, float("nan"), float("inf"), *subnormal):
         with pytest.raises(ValueError):
             train_logistic(batch, np.arange(batch.dim), lam=lam)
         with pytest.raises(ValueError):
             unmask(batch, lam=lam)
+
+
+def test_smallest_normal_lambda_fits():
+    """Below the smallest normal float, lip / lam overflows in both fits and
+    every loop would run to the cap and score chance, so a subnormal lambda
+    raises; the smallest normal one still fits a separable batch."""
+    batch = _separable_batch(dim=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = unmask(batch, k=3, m=2, lam=unmasking.MIN_LAM)
+    assert prof.accuracies.tolist() == [1.0, 1.0, 1.0]
+    assert prof.capped == [False] * 3
+    DetectorConfig(lam=unmasking.MIN_LAM)
 
 
 # ------------------------------------------------ Gram solver for wide batches
