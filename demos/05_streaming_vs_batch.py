@@ -3,9 +3,9 @@
 A frame's score is final once every window whose second half contains it
 has closed. With w=10, stride=5 that is a 5..19 frame delay. The
 emitted fused and per-channel scores and the series finalize() returns
-are bit-identical to scoring the whole clip at once. The emitted smoothed
-value uses the truncated kernel over the finalized prefix, so it firms up
-to the batch value as later frames arrive.
+are bit-identical to scoring the whole clip at once. Every emitted value
+is final. Smoothing needs the whole series, so the smoothed scores come
+only from finalize(), as result.series.smoothed.
 """
 
 import numpy as np

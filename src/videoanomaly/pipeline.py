@@ -12,15 +12,14 @@ temporally with a truncated-renormalized Gaussian.
 
 Scores are final as soon as every window covering a frame has closed, so
 the detector emits them online with bounded lookahead: at the close of
-window j, frames below (j+1)*s + w are finalized. The emitted smoothed
-value uses the truncated kernel over the finalized prefix; finalize()
-recomputes the whole series from the per-window bin scores, emits the tail
-from it, and is bit-identical to a batch run over the same input.
+window j, frames below (j+1)*s + w are finalized. Every emitted value is
+final. Smoothing needs the whole series, so only finalize() smooths: it
+recomputes the series from the per-window bin scores, emits the tail from
+it, and is bit-identical to a batch run over the same input.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -348,19 +347,6 @@ def gaussian_taps(sigma: float, length: int) -> np.ndarray:
     return taps
 
 
-@functools.lru_cache(maxsize=2)
-def _smoothing_kernel(sigma: float, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """smooth's taps and border denominator for a series of ``length``,
-    read-only. Two entries hold a stream's steady emission length and
-    finalize()'s whole-series length."""
-    taps = gaussian_taps(sigma, length)
-    radius = taps.size // 2
-    den = np.convolve(np.ones(length), taps)[radius : radius + length].copy()
-    for array in (taps, den):  # shared by every caller through the cache
-        array.setflags(write=False)
-    return taps, den
-
-
 def smooth(series, sigma: float) -> np.ndarray:
     """Temporal Gaussian smoothing, truncated and renormalized at borders.
 
@@ -373,9 +359,10 @@ def smooth(series, sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     if sigma == 0 or x.size == 0:
         return x.copy()
-    taps, den = _smoothing_kernel(float(sigma), x.size)
+    taps = gaussian_taps(sigma, x.size)
     radius = taps.size // 2
     num = np.convolve(x, taps)[radius : radius + x.size]
+    den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
     return np.clip(num / den, 0.0, 1.0)
 
 
@@ -414,19 +401,14 @@ def aggregate(
 
 @dataclass
 class Emission:
-    """One frame's scores, emitted once every window covering it has closed.
-
-    ``motion``, ``appearance`` and ``fused`` are final. ``smoothed`` is
-    provisional when push() emits it: it uses the kernel truncated at the
-    end of the finalized prefix. The tail that finalize() emits carries
-    the final smoothed values.
-    """
+    """One frame's final scores, emitted once every window covering it has
+    closed. Smoothing needs the whole series, so the smoothed score is only
+    in finalize()'s ``result.series.smoothed``."""
 
     frame: int
     motion: float | None
     appearance: float | None
     fused: float
-    smoothed: float
 
 
 @dataclass
@@ -480,8 +462,6 @@ class StreamingDetector:
         self.predict_seconds = 0.0
         self._next_window = 0
         self._emitted = 0
-        # fused values of the last 2*radius emitted frames (see _emit_upto)
-        self._recent = np.zeros(0)
         self._finalized = False
 
     def push(
@@ -562,17 +542,9 @@ class StreamingDetector:
         starts = range(first * cfg.stride, closed * cfg.stride, cfg.stride)
         rows = {ch: scores[first:] for ch, scores in self._bin_scores.items()}
         _, per_channel, fused = _frame_scores(starts, rows, cfg, lo, horizon)
-        # smoothing the new frames reads radius earlier values; keeping
-        # 2*radius makes the series at least as long as the kernel (or the
-        # whole prefix), because np.convolve swaps its operands otherwise,
-        # which changes the rounding
-        series = np.concatenate([self._recent, fused])
-        smoothed = smooth(series, cfg.smooth_sigma)[self._recent.size :]
-        keep = 2 * math.ceil(3 * cfg.smooth_sigma)
-        self._recent = series[max(0, series.size - keep) :]
-        return self._emit(per_channel, fused, smoothed)
+        return self._emit(per_channel, fused)
 
-    def _emit(self, per_channel, fused, smoothed) -> list[Emission]:
+    def _emit(self, per_channel, fused) -> list[Emission]:
         """Emissions of the next len(fused) frames from their values."""
         motion, appearance = per_channel.get("motion"), per_channel.get("appearance")
         out = [
@@ -581,7 +553,6 @@ class StreamingDetector:
                 None if motion is None else float(motion[i]),
                 None if appearance is None else float(appearance[i]),
                 float(fused[i]),
-                float(smoothed[i]),
             )
             for i in range(len(fused))
         ]
@@ -611,7 +582,7 @@ class StreamingDetector:
         series = aggregate(windows, bin_scores, frame_count, self.config)
         lo = self._emitted
         per_channel = {ch: values[lo:] for ch, values in series.per_channel.items()}
-        tail = self._emit(per_channel, series.fused[lo:], series.smoothed[lo:])
+        tail = self._emit(per_channel, series.fused[lo:])
         self.predict_seconds += time.perf_counter() - t0
         result = DetectionResult(
             series,

@@ -59,9 +59,7 @@ import numpy as np
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CHANCE = 0.5
-# the smallest regularization strength accepted: below the smallest normal
-# float, lip / lam overflows, the momentum is inf/inf = NaN and every fit
-# runs to the cap
+# the smallest regularization strength accepted, the smallest normal float
 MIN_LAM = float(np.finfo(np.float64).tiny)
 # a batch with fewer examples in either class is degenerate: every loop
 # records CHANCE without a fit
@@ -184,13 +182,20 @@ def _sigmoid_of_neg(t: np.ndarray) -> np.ndarray:
     return np.divide(_ONE, t, out=t)
 
 
+def _momentum(lip: float, lam: float) -> float:
+    """Nesterov's momentum (r - 1) / (r + 1) for r = sqrt(lip / lam); 1.0,
+    its value for every r above 2**53, where lip / lam overflows to inf."""
+    rk = np.sqrt(float(lip) / float(lam))  # Python floats overflow silently
+    return 1.0 if np.isinf(rk) else float((rk - 1.0) / (rk + 1.0))
+
+
 def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bool]:
     """Minimize mean logistic loss + (lam/2)*||w||^2 (bias unregularized).
 
     ``xb`` is the design matrix with a trailing all-ones bias column.
     Nesterov-accelerated full-batch descent from zero: step 1/L with
     L = lam + max_i ||x_i||^2 / 4 (a Lipschitz bound on the gradient) and
-    constant momentum (sqrt(L/lam) - 1) / (sqrt(L/lam) + 1); lam > 0.
+    constant momentum _momentum(L, lam); lam > 0.
     Returns the weights, the number of gradient evaluations and whether
     the fit stopped at MAX_ITER without converging. The bias component is
     tested before the whole gradient: it is a lower bound on the
@@ -202,8 +207,7 @@ def _fit(xb: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bo
     yf = y.astype(np.float64)
     w = np.zeros(d1)
     v = w
-    rk = np.sqrt(lip / lam)
-    beta = (rk - 1.0) / (rk + 1.0)
+    beta = _momentum(lip, lam)
     nf, lam_a, lip_a, beta_a = _scalars(n, lam, lip, beta)
     with np.errstate(over="ignore"):
         for it in range(1, MAX_ITER + 1):
@@ -242,8 +246,7 @@ def _fit_gram(
     n = xw.shape[0]
     lip = lam + (float(gram.diagonal().max()) + 1.0) / 4.0
     yf = y.astype(np.float64)
-    rk = np.sqrt(lip / lam)
-    beta = (rk - 1.0) / (rk + 1.0)
+    beta = _momentum(lip, lam)
     skip2 = (GRAD_TOL * (1.0 + 1e-6)) ** 2 * (dim + 1)
     a = np.zeros(n)
     b = 0.0

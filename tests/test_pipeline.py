@@ -362,88 +362,6 @@ def test_smooth_takes_a_sigma_whose_square_underflows():
             assert smooth(x, sigma).tobytes() == x.tobytes(), sigma
 
 
-def _smooth_uncached(x, sigma):
-    """smooth with its taps and denominator built at every call: the
-    oracle of the kernel cache."""
-    import math
-
-    x = np.asarray(x, dtype=np.float64)
-    if sigma == 0 or x.size == 0:
-        return x.copy()
-    radius = min(math.ceil(3 * sigma), x.size)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    taps = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
-    num = np.convolve(x, taps)[radius : radius + x.size]
-    den = np.convolve(np.ones(x.size), taps)[radius : radius + x.size]
-    return np.clip(num / den, 0.0, 1.0)
-
-
-def _static_frames(frame_count, seed=0):
-    pixels = np.random.default_rng(seed).random((WORK_H, WORK_W))
-    return (Frame(i, WORK_W, WORK_H, pixels) for i in range(frame_count))
-
-
-@pytest.mark.parametrize("w,stride", [(10, 5), (10, 1), (20, 7)])
-def test_cached_smooth_matches_uncached_at_every_emission_length(w, stride, monkeypatch):
-    """Every series a 400-frame stream smooths, emission by emission and
-    then whole at finalize(), smooths to the uncached result bit for bit;
-    so does a random series of each of those lengths, in the same order,
-    so the cache is hit as a stream hits it."""
-    rng = np.random.default_rng(w + stride)
-    real = pipeline.smooth
-    calls = []  # (input, output) of every smooth call of one stream
-
-    def recording(series, sigma):
-        out = real(series, sigma)
-        calls.append((np.array(series, dtype=np.float64), out.copy()))
-        return out
-
-    monkeypatch.setattr(pipeline, "smooth", recording)
-    for sigma in (0.5, 1.0, 3.0, 10.0, 40.0):
-        pipeline._smoothing_kernel.cache_clear()
-        calls.clear()
-        det = StreamingDetector(DetectorConfig(w=w, stride=stride, smooth_sigma=sigma))
-        for frame in _static_frames(400):
-            det.push(frame)
-        det.finalize()
-        lengths = [series.size for series, _ in calls]
-        assert lengths[-1] == 400 and len(set(lengths[:-1])) > 1
-        for series, out in calls:
-            assert out.tobytes() == _smooth_uncached(series, sigma).tobytes()
-        for length in lengths:
-            x = rng.random(length)
-            assert real(x, sigma).tobytes() == _smooth_uncached(x, sigma).tobytes()
-
-
-def test_smoothing_kernel_cache_stays_small(monkeypatch):
-    """The cache holds at most two kernels, read-only, and while 6,000
-    static frames are pushed none is longer than a steady emission's
-    series plus the first window's second half."""
-    import math
-
-    config = DetectorConfig()
-    bound = 2 * math.ceil(3 * config.smooth_sigma) + config.w + config.stride
-    real = pipeline._smoothing_kernel
-    sizes = []
-
-    def recording(sigma, length):
-        taps, den = real(sigma, length)
-        assert not taps.flags.writeable and not den.flags.writeable
-        sizes.append(max(taps.size, den.size))
-        return taps, den
-
-    real.cache_clear()
-    monkeypatch.setattr(pipeline, "_smoothing_kernel", recording)
-    det = StreamingDetector(config)
-    for frame in _static_frames(6000):
-        det.push(frame)
-        assert real.cache_info().currsize <= 2
-    assert sizes and max(sizes) <= bound
-    for length in range(1, 20):
-        smooth(np.zeros(length), 3.0)
-    assert real.cache_info().currsize == real.cache_info().maxsize == 2
-
-
 # ------------------------------------------------------------ batch running
 
 
@@ -521,14 +439,7 @@ def test_streaming_matches_batch_bit_for_bit():
     det = StreamingDetector()
     emissions = []
     for f in frames:
-        batch_ems = det.push(f)
-        if batch_ems:
-            # every emission batch reflects the finalized prefix only
-            horizon = batch_ems[-1].frame + 1
-            prefix = smooth(batch.series.fused[:horizon], det.config.smooth_sigma)
-            for em in batch_ems:
-                assert em.smoothed == prefix[em.frame]
-        emissions.extend(batch_ems)
+        emissions.extend(det.push(f))
     tail, result = det.finalize()
     emissions.extend(tail)
 
@@ -538,45 +449,17 @@ def test_streaming_matches_batch_bit_for_bit():
     assert np.array_equal(result.series.smoothed, batch.series.smoothed)
 
 
-def _fill_nearest(values, covered):
-    """Rows of uncovered frames from the nearest covered frame, earlier on a tie."""
-    idx = np.flatnonzero(covered)
-    frames = np.arange(len(covered))
-    pos = np.searchsorted(idx, frames)
-    left = idx[np.clip(pos - 1, 0, idx.size - 1)]
-    right = idx[np.clip(pos, 0, idx.size - 1)]
-    return values[np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)]
-
-
-def _emit_by_prefix(starts, bin_scores, config, emitted, horizon):
-    """Oracle for streaming emission: recompute the whole finalized prefix
-    [0, horizon) from every closed window (start frames ``starts``, bin
-    score rows ``bin_scores[ch]``), smooth all of it, and emit the frames
-    from ``emitted`` on."""
-    channels = config.enabled_channels
-    counts = np.zeros(horizon)
-    sums = {ch: np.zeros((horizon, config.n_bins(ch))) for ch in channels}
-    for j, start in enumerate(starts):
-        lo, hi = start + config.w, min(start + 2 * config.w, horizon)
-        counts[lo:hi] += 1
-        for ch in channels:
-            sums[ch][lo:hi] += bin_scores[ch][j]
-    covered = counts > 0
-    per_channel = {}
-    for ch in channels:
-        filled = np.where(covered[:, None], sums[ch] / np.maximum(counts, 1)[:, None], 0.0)
-        per_channel[ch] = _fill_nearest(filled, covered).max(axis=1)
-    fused = np.mean([per_channel[ch] for ch in channels], axis=0)
-    smoothed = smooth(fused, config.smooth_sigma)
+def _final_emissions(series):
+    """The emission of every frame, read from a finalized series."""
+    per_channel = series.per_channel
     return [
         Emission(
             f,
             float(per_channel["motion"][f]) if "motion" in per_channel else None,
             float(per_channel["appearance"][f]) if "appearance" in per_channel else None,
-            float(fused[f]),
-            float(smoothed[f]),
+            float(series.fused[f]),
         )
-        for f in range(emitted, horizon)
+        for f in range(series.frame_count)
     ]
 
 
@@ -602,33 +485,32 @@ EMISSION_GRID = [(10, 5, 98), (10, 10, 97), (10, 3, 97), (5, 5, 99)]
 
 @pytest.mark.parametrize("channel", ["motion", "appearance", "fusion"])
 @pytest.mark.parametrize("w,stride,frame_count", EMISSION_GRID)
-def test_emissions_match_prefix_recompute_oracle(channel, w, stride, frame_count):
+def test_emissions_match_finalized_series(channel, w, stride, frame_count):
+    """Every emitted field is final: the emissions of all pushes and of
+    finalize() equal finalize()'s series bit for bit, and are the same
+    whatever the smoothing sigma. A push that closes window j emits
+    exactly up to frame (j+1)*stride + w."""
     frames, _, _ = synth.block_event_video(
         frame_count=frame_count, active_range=(40, 70), speed=2.0
     )
     acts = _mixed_activations(frame_count)
-    for sigma in (0.0, 3.0, 10.0):
+    seen = []
+    for sigma in (0.0, 3.0, 10.0, 1e9):
         config = DetectorConfig(w=w, stride=stride, k=2, smooth_sigma=sigma, channel=channel)
         trace = io.StringIO()
         det = StreamingDetector(config, trace)
-        emitted = 0
-        checks = []  # (windows closed so far, first frame, emissions)
+        emissions = []
         for f, a in zip(frames, acts):
             out = det.push(f, a)
             if out:
-                checks.append(((f.index + 1 - 2 * w) // stride + 1, emitted, out))
-                emitted = out[-1].frame + 1
+                closed = (f.index + 1 - 2 * w) // stride + 1
+                assert out[-1].frame + 1 == closed * stride + w
+            emissions.extend(out)
         tail, result = det.finalize()
-        assert tail and emitted + len(tail) == frame_count
+        assert tail and len(emissions) + len(tail) == frame_count
+        seen.append(_bits(emissions + tail))
+        assert seen[-1] == seen[0] == _bits(_final_emissions(result.series))
         windows = len(plan_windows(frame_count, w, stride))
-        checks.append((windows, emitted, tail))
-        # a closed window's row never changes, so the finalized arrays cut
-        # to the windows closed at each push are what that push read
-        for closed, first, out in checks:
-            rows = {ch: scores[:closed] for ch, scores in result.bin_scores.items()}
-            horizon = out[-1].frame + 1
-            expected = _emit_by_prefix(result.windows[:closed], rows, config, first, horizon)
-            assert _bits(out) == _bits(expected)
         assert np.array_equal(result.windows, np.arange(windows) * stride)
         assert (result.presence is None) == (channel == "appearance")
         lines = [json.loads(line) for line in trace.getvalue().splitlines()]
@@ -1047,6 +929,29 @@ def test_streaming_emission_is_prompt():
     assert seen[14] == 19
     # window 1 closes at frame 24 and finalizes 15..19
     assert seen[19] == 24
+
+
+def _static_frames(frame_count, seed=0):
+    pixels = np.random.default_rng(seed).random((WORK_H, WORK_W))
+    return (Frame(i, WORK_W, WORK_H, pixels) for i in range(frame_count))
+
+
+@pytest.mark.parametrize("sigma", [10.0, 1e9])
+def test_push_never_smooths(sigma, monkeypatch):
+    """Smoothing needs the whole series: pushing 6,000 static frames makes
+    no smooth call, and finalize() makes exactly one."""
+    real, calls = pipeline.smooth, []
+
+    def counting(series, sigma):
+        calls.append(len(series))
+        return real(series, sigma)
+
+    monkeypatch.setattr(pipeline, "smooth", counting)
+    det = StreamingDetector(DetectorConfig(smooth_sigma=sigma))
+    emitted = sum(len(det.push(frame)) for frame in _static_frames(6000))
+    assert emitted > 0 and calls == []
+    det.finalize()
+    assert calls == [6000]
 
 
 def test_streaming_finalize_guards():

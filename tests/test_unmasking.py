@@ -315,6 +315,29 @@ def test_smallest_normal_lambda_fits():
     DetectorConfig(lam=unmasking.MIN_LAM)
 
 
+@pytest.mark.parametrize("route", ["gram", "primal"])
+def test_smallest_normal_lambda_fits_large_rows(monkeypatch, route):
+    """At lam = MIN_LAM, lip / lam overflows once a row's squared norm
+    passes about 16. The momentum is then 1.0, the value it rounds to for
+    any lip / lam above 2**106, not inf / inf = NaN: the fit stops as it
+    does at lam = 1e-300 instead of running to the cap at chance."""
+    if route == "primal":
+        monkeypatch.setattr(unmasking, "GRAM_MIN_RATIO", 100)
+    batch = _separable_batch(n_per_class=6, dim=30)
+    batch.x *= 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = unmask(batch, k=3, m=2, lam=unmasking.MIN_LAM)
+    reference = unmask(batch, k=3, m=2, lam=1e-300)
+    assert prof.route == [route] * 3 and prof.capped == [False] * 3
+    assert prof.accuracies.tolist() == reference.accuracies.tolist() == [1.0] * 3
+    assert prof.iterations == reference.iterations
+    assert unmasking._momentum(float(np.finfo(np.float64).max), unmasking.MIN_LAM) == 1.0
+    for lip, lam in [(1.5, 0.1), (3.0, 1e-4), (1e10, 1e-200)]:
+        rk = np.sqrt(lip / lam)
+        assert unmasking._momentum(lip, lam) == (rk - 1.0) / (rk + 1.0)
+
+
 # ------------------------------------------------ Gram solver for wide batches
 
 
