@@ -48,7 +48,7 @@ import numpy as np
 from .errors import AlignmentError, CapabilityError, DataError, FormatError
 from .features import APP_LAYOUT, GRID_H, GRID_W
 from .ingest import GroundTruth
-from .pipeline import DetectionResult, coverage_mean, gaussian_taps
+from .pipeline import DetectionResult, channel_mean, coverage_mean, gaussian_taps
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -262,7 +262,7 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
         rows = cells.reshape(len(cells), GRID_H * GRID_W)
         flat = coverage_mean(result.windows, rows, result.config.w, 0, t)
         per_channel.append(flat.reshape(t, GRID_H, GRID_W))
-    return np.mean(per_channel, axis=0)
+    return channel_mean(per_channel)
 
 
 def _critical_score(pixels: np.ndarray, mask: np.ndarray | None, negative_min_pixels: int) -> float:
@@ -439,7 +439,8 @@ def write_maps_npz(result: DetectionResult, path) -> None:
     cube_score_map(result, "fused"), so each map is computed once.
     """
     arrays = {ch: cube_score_map(result, ch) for ch in result.series.channels}
-    arrays["fused"] = np.mean(list(arrays.values()), axis=0)
+    first, *rest = arrays.values()
+    arrays["fused"] = channel_mean([first.copy(), *rest])
     np.savez_compressed(path, **arrays)
 
 

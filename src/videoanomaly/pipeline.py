@@ -44,6 +44,7 @@ from .features import (
     BinLayout,
     SlotGate,
     bin_activations,
+    check_activation_shape,
     cube_rows,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
@@ -171,7 +172,11 @@ class FeatureStore:
         self._app: dict[int, np.ndarray] = {}
 
     def add(self, frame: Frame | None, activation: ActivationFrame | None) -> int:
-        """Ingest one stream position; returns its frame index."""
+        """Ingest one stream position; returns its frame index.
+
+        A missing or misindexed frame and a missing, misindexed or
+        wrong-shape activation are rejected before any state changes, so
+        such a push can be retried with the corrected input."""
         idx = self.frames_seen
         channels = self.config.enabled_channels
         t0 = time.perf_counter()
@@ -180,9 +185,6 @@ class FeatureStore:
                 raise CapabilityError("motion channel needs a video frame per push")
             if frame.index != idx:
                 raise ValueError(f"expected frame index {idx}, got {frame.index}")
-            if (frame.width, frame.height) != (WORK_W, WORK_H):
-                frame = resize_bilinear(frame, WORK_W, WORK_H)
-            self._fold(idx, frame.pixels)
         if "appearance" in channels:
             if activation is None:
                 raise CapabilityError(
@@ -192,6 +194,12 @@ class FeatureStore:
                 raise ValueError(
                     f"expected activation index {idx}, got {activation.index}"
                 )
+            check_activation_shape(activation)
+        if "motion" in channels:
+            if (frame.width, frame.height) != (WORK_W, WORK_H):
+                frame = resize_bilinear(frame, WORK_W, WORK_H)
+            self._fold(idx, frame.pixels)
+        if "appearance" in channels:
             self._app[idx] = bin_activations(activation)
         self.extract_seconds += time.perf_counter() - t0
         self.frames_seen += 1
@@ -309,6 +317,11 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
     its covering windows, summed in window order; an uncovered frame takes
     the value of the nearest covered frame in the range, the earlier one
     on a tie. Returns a (hi - lo, len(row)) array.
+
+    The means are divided in place, and only the uncovered frames search
+    for their nearest covered frame: a fully covered range, which is every
+    range a window close emits, makes no search and no second array of
+    the output's size.
     """
     rows = np.asarray(rows, dtype=np.float64)
     sums = np.zeros((hi - lo, *rows.shape[1:]))
@@ -318,15 +331,37 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
         if a < b:
             sums[a:b] += row
             counts[a:b] += 1
-    idx = np.flatnonzero(counts)
-    if idx.size == 0:
+    gaps = np.flatnonzero(counts == 0)
+    if gaps.size == counts.size:
         raise ValueError("no frame is covered by any window")
-    frames = np.arange(hi - lo)
-    pos = np.searchsorted(idx, frames)
-    left = idx[np.clip(pos - 1, 0, idx.size - 1)]
-    right = idx[np.clip(pos, 0, idx.size - 1)]
-    pick = np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)
-    return (sums / np.maximum(counts, 1)[:, None])[pick]
+    sums /= np.maximum(counts, 1)[:, None]
+    if gaps.size:
+        covered = np.flatnonzero(counts)
+        pos = np.searchsorted(covered, gaps)
+        left = covered[np.maximum(pos - 1, 0)]
+        right = covered[np.minimum(pos, covered.size - 1)]
+        # left < gap < right, or both name the one covered frame on the
+        # side that has one
+        sums[gaps] = sums[np.where(gaps - left <= right - gaps, left, right)]
+    return sums
+
+
+def channel_mean(maps: list[np.ndarray]) -> np.ndarray:
+    """The element-wise mean of equal-shaped per-channel arrays, summed in
+    channel order into ``maps[0]``, which is overwritten and returned.
+
+    The same bits as ``np.mean(maps, axis=0)``, which adds the stacked
+    arrays in the same order and divides by the same count, without the
+    stacked copy or a second array for the quotient. The one difference:
+    np.mean adds from +0.0, so where every channel holds -0.0 it returns
+    +0.0 and this keeps -0.0. coverage_mean, whose sums also start at
+    +0.0, never returns -0.0.
+    """
+    total = maps[0]
+    for other in maps[1:]:
+        total += other
+    total /= len(maps)
+    return total
 
 
 def gaussian_taps(sigma: float, length: int) -> np.ndarray:
@@ -374,9 +409,8 @@ def _frame_scores(starts, bin_scores, config: DetectorConfig, lo: int, hi: int):
         for ch in config.enabled_channels
     }
     per_channel = {ch: values.max(axis=1) for ch, values in per_bin.items()}
-    series = list(per_channel.values())
-    # the mean of one channel is that channel, bit for bit
-    fused = series[0].copy() if len(series) == 1 else np.mean(series, axis=0)
+    first, *rest = per_channel.values()
+    fused = channel_mean([first.copy(), *rest])
     return per_bin, per_channel, fused
 
 

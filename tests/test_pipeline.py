@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from videoanomaly import (
+    ActivationFrame,
     AlignmentError,
     BinLayout,
     CapabilityError,
@@ -276,6 +277,115 @@ def test_aggregate_single_channel_fuses_to_itself():
     config = DetectorConfig(bins=BinLayout(1, 1))
     series = aggregate(*_windows([0], [0.7]), 20, config)
     assert np.array_equal(series.fused, series.per_channel["motion"])
+
+
+def test_channel_mean_matches_np_mean_bit_for_bit():
+    """Summing into the first array and dividing in place gives np.mean's
+    bits, NaN and infinities included, for one and two channels; the first
+    array is the one returned. np.mean adds from +0.0, so an element that
+    is -0.0 in every channel reads +0.0 there (adding 0.0 aligns them)."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        maps = [rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-300, 300) for _ in range(2)]
+        for m in maps:
+            m[rng.random(m.shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for chosen in (maps[:1], maps):
+            first = chosen[0].copy()
+            with np.errstate(all="ignore"):  # inf - inf, and overflow
+                want = np.mean(chosen, axis=0)
+                got = pipeline.channel_mean([first, *chosen[1:]])
+            assert got is first and (got + 0.0).tobytes() == want.tobytes()
+
+
+def _coverage_mean_backfill_every_frame(starts, rows, w, lo, hi):
+    """Slow twin of coverage_mean: every frame of the range, covered or
+    not, searches for its nearest covered frame, and the means are divided
+    into a new array before the backfill gathers a third."""
+    rows = np.asarray(rows, dtype=np.float64)
+    sums = np.zeros((hi - lo, *rows.shape[1:]))
+    counts = np.zeros(hi - lo)
+    for start, row in zip(starts, rows):
+        a, b = max(start + w, lo) - lo, min(start + 2 * w, hi) - lo
+        if a < b:
+            sums[a:b] += row
+            counts[a:b] += 1
+    idx = np.flatnonzero(counts)
+    if idx.size == 0:
+        raise ValueError("no frame is covered by any window")
+    frames = np.arange(hi - lo)
+    pos = np.searchsorted(idx, frames)
+    left = idx[np.clip(pos - 1, 0, idx.size - 1)]
+    right = idx[np.clip(pos, 0, idx.size - 1)]
+    pick = np.where(np.abs(frames - left) <= np.abs(right - frames), left, right)
+    return (sums / np.maximum(counts, 1)[:, None])[pick]
+
+
+def _coverage_cases(seed=24):
+    """(starts, rows, w, lo, hi) over w 1..11 and strides up to 3w, so
+    stride > w leaves gaps between second halves; head, tail, interior,
+    whole and empty ranges; rows with NaNs, and rows as nested lists."""
+    rng = np.random.default_rng(seed)
+    for w in range(1, 12):
+        for stride in sorted({1, w, 2 * w, 3 * w, int(rng.integers(1, 3 * w + 1))}):
+            for _ in range(3):
+                count = int(rng.integers(1, 9))
+                starts = int(rng.integers(0, 6)) + stride * np.arange(count)
+                end = int(starts[-1]) + 2 * w + int(rng.integers(0, 2 * w + 1))
+                rows = rng.random((count, int(rng.integers(1, 5))))
+                if rng.random() < 0.3:
+                    rows[rng.random(rows.shape) < 0.2] = np.nan
+                cut = sorted(rng.integers(0, end + 1, size=2).tolist())
+                mid = int(rng.integers(0, end + 1))
+                for lo, hi in [(0, cut[1]), (cut[0], end), tuple(cut), (0, end), (mid, mid)]:
+                    yield starts, rows, w, lo, hi
+                    yield starts.tolist(), rows.tolist(), w, lo, hi
+
+
+def test_coverage_mean_matches_backfill_every_frame_oracle():
+    """Dividing in place and searching only the uncovered frames gives the
+    twin's bytes, and raises its error, on every case."""
+    matched = backfilled = raised = 0
+    for starts, rows, w, lo, hi in _coverage_cases():
+        try:
+            want = _coverage_mean_backfill_every_frame(starts, rows, w, lo, hi)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                pipeline.coverage_mean(starts, rows, w, lo, hi)
+            raised += 1
+            continue
+        got = pipeline.coverage_mean(starts, rows, w, lo, hi)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (starts, w, lo, hi)
+        matched += 1
+        covered = {f for s in starts for f in range(s + w, s + 2 * w)}
+        backfilled += not covered.issuperset(range(lo, hi))
+    # the grid holds both outcomes, and many matches backfill some frame
+    assert matched > 1000 and backfilled > 500 and raised > 300, (matched, backfilled, raised)
+
+
+def test_coverage_mean_raises_on_uncovered_and_empty_ranges():
+    rows = [[0.25, 0.5]]
+    for lo, hi in [(0, 10), (20, 30), (15, 15), (0, 0)]:  # before, after, empty
+        for fn in (pipeline.coverage_mean, _coverage_mean_backfill_every_frame):
+            with pytest.raises(ValueError, match="no frame is covered by any window"):
+                fn([0], rows, 10, lo, hi)
+
+
+def test_whole_series_coverage_mean_holds_one_output_array():
+    """Over 12,000 frames of 192 cell columns (a cube_score_map channel),
+    the traced peak is the output and little more: the twin holds the
+    sums, their quotient and the gathered copy, about 3x."""
+    frame_count, w, stride = 12_000, 10, 5
+    starts = stride * np.arange((frame_count - 2 * w) // stride + 1)
+    rows = np.random.default_rng(5).random((len(starts), 192))
+    tracemalloc.start()
+    try:
+        out = pipeline.coverage_mean(starts, rows, w, 0, frame_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (frame_count, 192)
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
 
 
 # ---------------------------------------------------------------- smoothing
@@ -952,6 +1062,88 @@ def test_push_never_smooths(sigma, monkeypatch):
     assert emitted > 0 and calls == []
     det.finalize()
     assert calls == [6000]
+
+
+def test_window_closes_search_only_uncovered_frames(monkeypatch):
+    """Every range a window close emits is covered but for the first
+    one's frames 0..w-1, so 6,000 static pushes search once, for those w
+    frames, where a backfill of every frame searched at each of the 1,197
+    closes."""
+    real, searched = np.searchsorted, []
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.np, "searchsorted", counting)
+    config = DetectorConfig()
+    det = StreamingDetector(config)
+    emitted = sum(len(det.push(frame)) for frame in _static_frames(6000))
+    assert det._next_window == 1197 and emitted == 1197 * config.stride + config.w
+    assert searched == [config.w]
+
+
+_REJECTIONS = {  # kind -> (the channels it applies to, bad input from good, error)
+    "frame missing": ({"motion"}, lambda f, a: (None, a), CapabilityError),
+    "frame misindexed": (
+        {"motion"},
+        lambda f, a: (Frame(f.index + 1, f.width, f.height, f.pixels), a),
+        ValueError,
+    ),
+    "activation missing": ({"appearance"}, lambda f, a: (f, None), CapabilityError),
+    "activation misindexed": (
+        {"appearance"},
+        lambda f, a: (f, ActivationFrame(a.index + 1, a.channels, a.height, a.width, a.values)),
+        ValueError,
+    ),
+    "activation shape": (
+        {"appearance"},
+        lambda f, a: (f, ActivationFrame(a.index, 8, a.height, a.width, a.values[:8])),
+        ValueError,
+    ),
+}
+_REJECTION_CASES = [
+    (channel, kind)
+    for channel in ("motion", "appearance", "fusion")
+    for kind, (needs, _, _) in _REJECTIONS.items()
+    if needs & set(DetectorConfig(channel=channel).enabled_channels)
+]
+
+
+def _pushed_with(channel, reject_at=None, kind=None):
+    """Emission bits and the result of pushing block_event_video(60) with
+    noise activations; at frame ``reject_at`` a ``kind`` rejection is
+    pushed first, and frames_seen is checked to stay put."""
+    frames, _, _ = synth.block_event_video(frame_count=60, active_range=(20, 40))
+    acts = synth.noise_activations(60, seed=3)
+    det = StreamingDetector(DetectorConfig(k=2, channel=channel))
+    emissions = []
+    for f, a in zip(frames, acts):
+        if f.index == reject_at:
+            _, bad, error = _REJECTIONS[kind]
+            with pytest.raises(error):
+                det.push(*bad(f, a))
+            assert det.store.frames_seen == f.index
+        emissions.extend(det.push(f, a))
+    tail, result = det.finalize()
+    return _bits(emissions + tail), result
+
+
+@pytest.mark.parametrize("channel,kind", _REJECTION_CASES)
+def test_rejected_push_changes_nothing(channel, kind):
+    """A push that raises leaves the detector as it was: after the
+    corrected retry, emissions and result equal a clean run bit for bit.
+    In fusion, the video frame of a push whose activation is rejected
+    must not reach the open slot gates."""
+    clean_bits, clean = _pushed_with(channel)
+    bits, result = _pushed_with(channel, reject_at=7, kind=kind)
+    assert bits == clean_bits
+    for ch in clean.series.channels:
+        assert clean.bin_scores[ch].tobytes() == result.bin_scores[ch].tobytes()
+        assert clean.series.per_bin[ch].tobytes() == result.series.per_bin[ch].tobytes()
+    assert clean.series.smoothed.tobytes() == result.series.smoothed.tobytes()
+    if clean.presence is not None:
+        assert np.array_equal(clean.presence, result.presence)
 
 
 def test_streaming_finalize_guards():
