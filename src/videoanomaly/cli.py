@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--column", default="score_smoothed",
                     choices=CSV_HEADER.split(",")[1:], help="score CSV column to evaluate")
     ev.add_argument("--maps", help="npz score grids from run --maps-out (pixel level)")
-    ev.add_argument("--map-channel", default="fused",
-                    help="which maps to use: motion|appearance|fused")
+    ev.add_argument("--map-channel", default="fused", choices=("fused", "motion", "appearance"),
+                    help="which maps to use (pixel level)")
     ev.add_argument("--sigma-px", type=float, default=10.0,
                     help="spatial Gaussian sigma in pixels")
     ev.add_argument("--out", required=True, help="report JSON path")

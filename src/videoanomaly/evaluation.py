@@ -11,13 +11,14 @@ run's maps as one (T, 12, 16) array. Each grid is upsampled
 (nearest-neighbor over patch extents) to mask resolution and spatially
 smoothed. At a threshold t, a positive frame is a true positive only if
 the detected pixels (map >= t) cover strictly more than 40% of its
-ground-truth anomalous pixels; a negative frame is a false positive
-as soon as any pixel is detected (configurable via negative_min_pixels).
-Each frame's detection status flips at exactly one critical threshold, so
-the sweep reduces to a ROC over per-frame critical scores.
+ground-truth anomalous pixels; a negative frame is a false positive as
+soon as any pixel is detected (a fixed rule). Each frame's detection
+status flips at exactly one critical threshold, so the sweep reduces to
+a ROC over per-frame critical scores: the (floor(0.4 n) + 1)-th largest
+of a positive frame's n masked pixels, the largest of a negative frame's.
 
-Certified critical scores: pixel_auc smooths a whole map only where no
-bound covers it. For a grid of +0.0 and positive cells, the maps run
+Certified critical scores: pixel_auc smooths a map only where no bound
+covers it. For a grid of +0.0 and positive cells, the maps run
 writes, the smoothed map has the closed form A = P_y grid P_x^T / den
 (P_y and P_x sum the Gaussian taps over each grid cell), within
 delta = 1e-12 A of smooth_map's value. The k-th largest A, widened by
@@ -26,10 +27,10 @@ itself. When they differ, only the pixels whose interval meets the
 bracket are smoothed exactly, on their own rows, by the numpy blur that
 does scipy.ndimage.convolve1d's arithmetic in its order. Any other grid
 (a negative, -0.0 or non-finite cell, or one so small or large that a
-product could underflow or overflow) is smoothed exactly in full, and
-sigma 0 ranks the upsampled grid. So every score, and every report, is
-bit-identical to smooth_map followed by a partition, and the package
-needs numpy alone.
+product could underflow or overflow) is smoothed exactly over the ranked
+pixels' bounding box, and sigma 0 ranks the upsampled grid. So every
+score, and every report, is bit-identical to ranking smooth_map's
+output, and the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -214,24 +215,17 @@ def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
     """2D Gaussian smoothing, truncated and renormalized at image borders.
 
     Each axis has radius ceil(3*sigma_px), capped at its length (see
-    gaussian_taps). The vertical pass runs once per run of
-    bitwise-identical adjacent columns (an upsampled grid has one run per
-    patch column) and is then repeated across the run: the pass treats
-    each column on its own, so the result is bit-identical to convolving
-    every column. pixel_auc does not smooth whole maps; this is the
-    definition its critical scores reproduce.
+    gaussian_taps): every column is blurred, then every row. pixel_auc
+    does not smooth whole maps; this is the definition its critical
+    scores reproduce.
     """
     if not 0 <= sigma_px < math.inf:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma_px}")
     if sigma_px == 0:
         return pixels.astype(np.float64, copy=True)
-    pixels = pixels.astype(np.float64)
     h, w = pixels.shape
-    bits = pixels.view(np.uint64)
-    firsts = np.flatnonzero(np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)])
-    runs = np.diff(np.r_[firsts, w])
-    cols = _blur(pixels[:, firsts].T, gaussian_taps(sigma_px, h)).T
-    num = _blur(np.repeat(cols, runs, axis=1), gaussian_taps(sigma_px, w))
+    cols = _blur(pixels.astype(np.float64).T, gaussian_taps(sigma_px, h)).T
+    num = _blur(cols, gaussian_taps(sigma_px, w))
     return num / _smoothing_den(pixels.shape, float(sigma_px))
 
 
@@ -265,28 +259,14 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
     return channel_mean(per_channel)
 
 
-def _critical_score(pixels: np.ndarray, mask: np.ndarray | None, negative_min_pixels: int) -> float:
-    """Largest threshold at which this frame counts as detected.
-
-    Positive frame: detected iff strictly more than 40% of its ground-truth
-    pixels have map >= t, so the flip happens at the (floor(0.4*n)+1)-th
-    largest masked value. Negative frame: at the negative_min_pixels-th
-    largest value overall (default 1 = any detected pixel).
-    """
-    if mask is not None and mask.any():
-        vals = pixels[mask]
-        # floor(0.4 * n) + 1 in exact integer arithmetic
-        need = (2 * vals.size) // 5 + 1
-        return float(np.partition(vals, vals.size - need)[vals.size - need])
-    flat = pixels.ravel()
-    j = min(negative_min_pixels, flat.size)
-    return float(np.partition(flat, flat.size - j)[flat.size - j])
-
-
 def _kth_largest(values: np.ndarray, k: int):
-    """k-th largest value; NaN ranks above everything, as in np.partition."""
+    """k-th largest value, np.partition's pick: NaN ranks above everything.
+    A top other than zero is max(); a zero top may tie -0.0 with +0.0,
+    where max() and np.partition can pick different signs."""
     if k == 1:
-        return values.max()
+        top = values.max()
+        if top != 0:
+            return top
     return np.partition(values, values.size - k)[values.size - k]
 
 
@@ -294,9 +274,11 @@ def _kth_largest(values: np.ndarray, k: int):
 _REL_BOUND = 1e-12
 
 
-def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pixels: int) -> float:
-    """_critical_score of smooth_map(grid_to_pixels(grid, *mask.shape),
-    sigma_px), bit for bit, mostly without smoothing the map.
+def _certified_critical(grid, mask: np.ndarray, sigma_px: float) -> float:
+    """Largest threshold at which the frame counts as detected on the map
+    smooth_map(grid_to_pixels(grid, *mask.shape), sigma_px), bit for bit,
+    mostly without smoothing the map: the (floor(0.4 n) + 1)-th largest of
+    a positive frame's n masked pixels, or a negative frame's largest.
 
     For a grid whose cells are all +0.0 or positive, the closed form
     A = P_y grid P_x^T / den (P_y[i, gy] sums the taps from pixel row i
@@ -308,42 +290,45 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float, negative_min_pi
     equal ends (a score of zero) are its exact value. Otherwise the pixels
     whose interval meets the bracket are smoothed exactly, on their rows
     only, and the rank finishes among them after the pixels certainly
-    above. Any other grid takes the whole map: one with a negative, -0.0
-    or non-finite cell, or a cell so small or large that a product could
-    underflow or overflow. So does sigma 0, on the upsampled grid.
+    above. Any other grid is smoothed exactly over the ranked pixels'
+    bounding box: one with a negative, -0.0 or non-finite cell, or a cell
+    so small or large that a product could underflow or overflow. Sigma 0
+    ranks the upsampled grid.
     """
     h, w = mask.shape
     grid = np.asarray(grid, dtype=np.float64)
     if not grid.view(np.uint64).any():  # every cell +0.0, so every pixel
         return 0.0
-    if sigma_px == 0:
-        return _critical_score(grid_to_pixels(grid, h, w), mask, negative_min_pixels)
-    ay, ax = _axis(h, GRID_H, sigma_px), _axis(w, GRID_W, sigma_px)
-    taps = np.concatenate([ay.taps, ax.taps])
-    tmin = taps[taps > 0].min()
-    covered = ((grid.view(np.uint64) == 0)  # +0.0
-               | ((grid * tmin * tmin > 1e-270) & (grid < 1e300 / (ay.taps.sum() * ax.taps.sum()))))
-    if not covered.all():  # the whole map
-        full = _exact_block(grid, np.arange(h), 0, w, ay, ax, sigma_px)
-        return _critical_score(full, mask, negative_min_pixels)
-    radius = max(ay.taps.size, ax.taps.size) // 2
-    rel = max(_REL_BOUND, 16 * (radius + 8) * np.finfo(np.float64).eps)
-    # the pixels ranked: a positive frame's masked pixels, as flat indices
-    # into their bounding box (pick), or a negative frame's whole map
+    # the ranked pixels and their rank: a positive frame's masked pixels, as
+    # flat indices into their bounding box (pick), or a negative frame's map
     if mask.any():
         rs, cs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         rows, cols = slice(rs[0], rs[-1] + 1), slice(cs[0], cs[-1] + 1)
         pick = np.flatnonzero(mask[rows, cols])
         k = (2 * pick.size) // 5 + 1
     else:
-        rows, cols, pick = slice(0, h), slice(0, w), None
-        k = min(negative_min_pixels, h * w)
+        rows, cols, pick, k = slice(0, h), slice(0, w), None, 1
+
+    def ranked(box: np.ndarray) -> np.ndarray:
+        """The ranked pixels of a map's [rows, cols] box, in row-major order."""
+        return box.ravel() if pick is None else box.ravel()[pick]
+
+    if sigma_px == 0:
+        return float(_kth_largest(ranked(grid_to_pixels(grid, h, w)[rows, cols]), k))
+    ay, ax = _axis(h, GRID_H, sigma_px), _axis(w, GRID_W, sigma_px)
+    taps = np.concatenate([ay.taps, ax.taps])
+    tmin = taps[taps > 0].min()
+    covered = ((grid.view(np.uint64) == 0)  # +0.0
+               | ((grid * tmin * tmin > 1e-270) & (grid < 1e300 / (ay.taps.sum() * ax.taps.sum()))))
+    if not covered.all():  # the exact blur of the whole box
+        box = _exact_block(grid, np.arange(h)[rows], cols.start, cols.stop, ay, ax, sigma_px)
+        return float(_kth_largest(ranked(box), k))
+    radius = max(ay.taps.size, ax.taps.size) // 2
+    rel = max(_REL_BOUND, 16 * (radius + 8) * np.finfo(np.float64).eps)
     den = _smoothing_den((h, w), sigma_px)[rows, cols]
 
     # the closed form A at the ranked pixels
-    a = ((ay.weight[rows] @ grid) @ ax.weight[cols].T / den).ravel()
-    if pick is not None:
-        a = a[pick]
+    a = ranked((ay.weight[rows] @ grid) @ ax.weight[cols].T / den)
     delta = rel * a
     lo, hi = a - delta, np.add(a, delta, out=delta)
     # delta = rel * A is monotone in A: one rank brackets the score
@@ -366,12 +351,12 @@ def _exact_block(grid: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis
     """smooth_map(grid_to_pixels(grid, h, w), sigma_px)[rows, c0:c1], bit
     for bit, for sorted distinct ``rows``.
 
-    The vertical pass runs once per grid column, as smooth_map's runs once
-    per run of equal pixel columns.
-
-    Rows with equal vertical-pass values and equal border weight (ay.ones)
-    are equal, so each distinct row is smoothed horizontally once, and only
-    over the columns that columns [c0, c1) read.
+    The vertical pass treats each column on its own, and the upsampled
+    grid's pixel columns repeat its grid columns, so the pass runs once
+    per grid column. Rows with equal vertical-pass values and equal border
+    weight (ay.ones) are equal, so each distinct row is smoothed
+    horizontally once, and only over the columns that columns [c0, c1)
+    read.
     """
     vertical = _blur(grid[ay.cell].T, ay.taps).T  # (h, grid columns)
     radius = ax.taps.size // 2
@@ -391,7 +376,6 @@ def pixel_auc(
     maps: Sequence[np.ndarray],
     gt: GroundTruth,
     sigma_px: float = 10.0,
-    negative_min_pixels: int = 1,
 ) -> RocReport:
     """Pixel-level ROC report under the 40%-overlap detection rule.
 
@@ -400,8 +384,6 @@ def pixel_auc(
     """
     if gt.pixel_masks is None:
         raise CapabilityError("pixel-level evaluation needs per-pixel ground-truth masks")
-    if negative_min_pixels < 1:
-        raise ValueError("negative_min_pixels must be >= 1")
     if not 0 <= sigma_px < math.inf:
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma_px}")
     maps = _maps_array(maps, "pixel_auc")
@@ -411,7 +393,7 @@ def pixel_auc(
         )
     criticals = np.empty(len(maps))
     for i, (grid, mask) in enumerate(zip(maps, gt.pixel_masks)):
-        criticals[i] = _certified_critical(grid, mask, float(sigma_px), negative_min_pixels)
+        criticals[i] = _certified_critical(grid, mask, float(sigma_px))
     return _roc(criticals, gt.frame_labels, "pixel")
 
 

@@ -233,17 +233,13 @@ def cube_rows(frames: list[np.ndarray], keep: np.ndarray) -> np.ndarray:
     given the slot's static mask ``keep``.
 
     An all-static mask returns before any stack is built. Otherwise the
-    temporal and spatial gradients are taken on the kept cells only (on
-    the whole stack when every cell is kept).
+    temporal and spatial gradients are taken on the kept cells only.
     """
     if not keep.any():
         return np.empty((0, CUBE_DIM), frames[0].dtype)
-    stack = np.stack(frames)
-    if keep.all():  # gathering every cell would only copy the views
-        blocks, gtb = _cells(stack), _cells(_temporal_gradient(stack))
-    else:  # time is axis 1 of the gathered (n, 5, 10, 10) blocks
-        blocks = _cells(stack)[keep]
-        gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
+    # time is axis 1 of the gathered (n, 5, 10, 10) blocks
+    blocks = _cells(np.stack(frames))[keep]
+    gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
     rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     np.divide(rows, norms, out=rows, where=norms > 0)

@@ -121,22 +121,6 @@ class DetectorConfig:
         }
 
 
-def plan_windows(frame_count: int, w: int, stride: int) -> list[tuple[int, int]]:
-    """Sliding windows of length 2w starting at 0, s, 2s, ...
-
-    Count = floor((T - 2w)/s) + 1; each window's second half
-    [start+w, start+2w) is the segment its score is assigned to.
-    """
-    if w < 1 or stride < 1:
-        raise ValueError("w and stride must be >= 1")
-    if frame_count < 2 * w:
-        raise StreamTooShortError(
-            f"stream has {frame_count} frames, needs at least {2 * w}"
-        )
-    count = (frame_count - 2 * w) // stride + 1
-    return [(j * stride, j * stride + 2 * w) for j in range(count)]
-
-
 class FeatureStore:
     """Per-frame feature caches of the streaming detector.
 
@@ -662,7 +646,6 @@ def run_detector(
     if "appearance" in config.enabled_channels and activations is None:
         raise CapabilityError(f"channel {config.channel!r} needs --activations input")
     frame_count = stream_length(frames, activations)
-    plan_windows(frame_count, config.w, config.stride)  # validates length early
     det = StreamingDetector(config, trace)
     for i in range(frame_count):
         det.push(

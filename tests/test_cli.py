@@ -276,6 +276,16 @@ def test_run_truncated_short_y8_beats_stream_too_short(tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_short_clip_exit_2(tmp_path, capsys, command):
+    clip = tmp_path / "clip.y8"
+    write_frames_y8(synth.noise_video(5, width=8, height=6), clip)
+    rc = main([command, "--frames", str(clip), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "StreamTooShortError: stream has 5 frames, needs at least 20" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_nan_in_last_umk1_frame_exit_3(tmp_path, capsys):
     acts = synth.noise_activations(3, seed=2)  # also too short for a window
     acts[-1].values[4, 2, 7] = np.nan
@@ -450,6 +460,31 @@ def test_eval_takes_only_score_columns(tmp_path, capsys, column):
               "--column", column, "--out", str(report)])
     assert exc.value.code == 2
     assert f"invalid choice: '{column}'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("level", ["frame", "pixel"])
+def test_eval_takes_only_map_channels(tmp_path, capsys, level):
+    """A misspelt channel is refused before any input is read, at frame
+    level too, where the maps are not used."""
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scores", str(tmp_path / "s.csv"), "--gt", str(tmp_path / "masks"),
+              "--level", level, "--maps", str(tmp_path / "m.npz"), "--map-channel", "bogus",
+              "--out", str(report)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_map_channel_missing_from_archive_exit_2(video, tmp_path, capsys):
+    maps = tmp_path / "maps.npz"
+    _, scores = _run(video, tmp_path, "--maps-out", str(maps))  # motion only
+    report = tmp_path / "r.json"
+    rc = main(["eval", "--scores", str(scores), "--gt", str(video["masks"]), "--level", "pixel",
+               "--maps", str(maps), "--map-channel", "appearance", "--out", str(report)])
+    assert rc == 2
+    assert "CapabilityError" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -189,8 +189,8 @@ def _same_bits(a, b):
 def test_smooth_map_is_bit_identical_to_full_convolution(shape):
     rng = np.random.default_rng(shape[1])
     grid = rng.random((12, 16))
-    grid[:, 5:9] = 0.0  # equal neighboring cells merge column runs
-    grid[0] = 0.5  # columns equal in some rows only stay apart
+    grid[:, 5:9] = 0.0  # runs of equal pixel columns
+    grid[0] = 0.5  # columns equal in some rows only
     negzero = np.where(rng.random((12, 16)) < 0.5, -0.0, 0.0)
     negzero[4:8, 6:12] = -0.0
     nonfinite = grid.copy()
@@ -395,7 +395,7 @@ def _gt(masks, h=60, w=80):
     return GroundTruth(labels, full)
 
 
-def _pixel_auc_reference(maps, gt, sigma_px, negative_min_pixels=1):
+def _pixel_auc_reference(maps, gt, sigma_px):
     """Threshold-sweep oracle: walk every distinct pixel value and count
     detected frames under the coverage rules directly."""
     h, w = gt.pixel_masks[0].shape
@@ -411,7 +411,7 @@ def _pixel_auc_reference(maps, gt, sigma_px, negative_min_pixels=1):
                 if 5 * int((px[mask] >= t).sum()) > 2 * n:
                     tp += 1
             else:
-                if int((px >= t).sum()) >= negative_min_pixels:
+                if (px >= t).any():
                     fp += 1
         points.append((fp / (labels == 0).sum(), tp / (labels == 1).sum()))
     fpr, tpr = np.array(points).T
@@ -457,7 +457,7 @@ def test_pixel_auc_forty_percent_is_strict():
     assert pixel_auc(maps, gt, sigma_px=0.0).auc == 1.0
 
 
-def test_pixel_auc_negative_min_pixels():
+def test_pixel_auc_two_hot_pixels_make_a_false_positive():
     grid_pos = np.zeros((12, 16))
     grid_pos[0, :10] = 0.5
     grid_neg = np.zeros((12, 16))
@@ -467,7 +467,6 @@ def test_pixel_auc_negative_min_pixels():
     gt = GroundTruth(np.array([1, 0]), [mask, np.zeros((12, 16), dtype=bool)])
     maps = [grid_pos, grid_neg]
     assert pixel_auc(maps, gt, sigma_px=0.0).auc == 0.0
-    assert pixel_auc(maps, gt, sigma_px=0.0, negative_min_pixels=3).auc == 1.0
 
 
 def test_pixel_auc_uniform_maps_score_chance():
@@ -568,11 +567,28 @@ def _same_value(a, b):
     return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
 
 
-def _check_critical(grid, mask, sigma, negative_min_pixels):
-    pixels = smooth_map(grid_to_pixels(grid, *mask.shape), sigma)
-    want = evaluation._critical_score(pixels, mask, negative_min_pixels)
-    got = evaluation._certified_critical(grid, mask, sigma, negative_min_pixels)
-    assert _same_value(got, want), (got, want, sigma, negative_min_pixels, mask.any(), grid)
+def _critical_score(pixels, mask):
+    """Oracle for _certified_critical: the largest threshold at which this
+    frame counts as detected, ranked by np.partition on the whole map.
+
+    Positive frame: detected iff strictly more than 40% of its ground-truth
+    pixels have map >= t, so the flip happens at the (floor(0.4*n)+1)-th
+    largest masked value. Negative frame: at the largest value overall
+    (any detected pixel).
+    """
+    if mask.any():
+        vals = pixels[mask]
+        # floor(0.4 * n) + 1 in exact integer arithmetic
+        need = (2 * vals.size) // 5 + 1
+        return float(np.partition(vals, vals.size - need)[vals.size - need])
+    flat = pixels.ravel()
+    return float(np.partition(flat, flat.size - 1)[flat.size - 1])
+
+
+def _check_critical(grid, mask, sigma):
+    want = _critical_score(smooth_map(grid_to_pixels(grid, *mask.shape), sigma), mask)
+    got = evaluation._certified_critical(grid, mask, sigma)
+    assert _same_value(got, want), (got, want, sigma, mask.any(), grid)
 
 
 @pytest.mark.parametrize("kind", GRID_CLASSES)
@@ -582,11 +598,10 @@ def test_certified_critical_matches_smoothed_map(shape, kind):
     smooth_map + _critical_score, the map it does not compute."""
     rng = np.random.default_rng([shape[0], GRID_CLASSES.index(kind)])
     for sigma in (0.0, 2.5, 10.0):
-        for negative_min_pixels in (1, 3):
-            for masked in (True, False):
-                for _ in range(2):
-                    mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
-                    _check_critical(_grid_of(kind, rng), mask, sigma, negative_min_pixels)
+        for masked in (True, False):
+            for _ in range(4):
+                mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
+                _check_critical(_grid_of(kind, rng), mask, sigma)
 
 
 def test_certified_critical_on_extreme_cells_and_radii():
@@ -607,13 +622,14 @@ def test_certified_critical_on_extreme_cells_and_radii():
             for grid in grids:
                 for masked in (True, False):
                     mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
-                    _check_critical(grid, mask, sigma, 1)
+                    _check_critical(grid, mask, sigma)
 
 
 def test_certified_critical_on_ties_of_signed_zeros():
     """-0.0 and +0.0 cells, at most one hot cell: critical scores of 0
-    where both zeros tie, and np.partition's pick among them; and a
-    negative cell so small that its pixels smooth to -0.0."""
+    where both zeros tie, and np.partition's pick among them (max() picks
+    another sign, at sigma 0 too); and a negative cell so small that its
+    pixels smooth to -0.0."""
     rng = np.random.default_rng(1)
     for trial in range(1000):
         shape = [(30, 40), (60, 80), (24, 32)][trial % 3]
@@ -622,7 +638,7 @@ def test_certified_critical_on_ties_of_signed_zeros():
         if rng.random() < 0.7:
             grid[rng.integers(12), rng.integers(16)] = rng.random()
         mask = _rect_mask(shape, rng) if rng.random() < 0.7 else np.zeros(shape, dtype=bool)
-        _check_critical(grid, mask, [0.5, 1.0, 2.5][trial % 3], int(rng.integers(1, 6)))
+        _check_critical(grid, mask, [0.0, 0.5, 1.0, 2.5][trial % 4])
     # a negative subnormal cell smooths to -0.0 near its center, amid +0.0
     grid = np.zeros((12, 16))
     grid[5, 7] = -5e-324
@@ -630,9 +646,8 @@ def test_certified_critical_on_ties_of_signed_zeros():
         wide = np.zeros(shape, dtype=bool)
         wide[1:-1, 1:-1] = True
         for sigma in (1.0, 2.5, 10.0):
-            _check_critical(grid, wide, sigma, 1)
-            for negative_min_pixels in (1, 50, shape[0] * shape[1] // 2):
-                _check_critical(grid, np.zeros(shape, dtype=bool), sigma, negative_min_pixels)
+            _check_critical(grid, wide, sigma)
+            _check_critical(grid, np.zeros(shape, dtype=bool), sigma)
 
 
 def test_certified_critical_keeps_the_sign_of_negative_zero():
@@ -642,8 +657,8 @@ def test_certified_critical_keeps_the_sign_of_negative_zero():
     grid = np.full((12, 16), -0.0)
     mask = np.zeros((90, 130), dtype=bool)
     mask[40:50, 60:70] = True
-    assert math.copysign(1, evaluation._critical_score(smooth_map(grid_to_pixels(grid, 90, 130), 2.5), mask, 1)) == -1
-    assert math.copysign(1, evaluation._certified_critical(grid, mask, 2.5, 1)) == -1
+    assert math.copysign(1, _critical_score(smooth_map(grid_to_pixels(grid, 90, 130), 2.5), mask)) == -1
+    assert math.copysign(1, evaluation._certified_critical(grid, mask, 2.5)) == -1
 
 
 def test_pixel_auc_takes_a_huge_sigma():
@@ -656,4 +671,4 @@ def test_pixel_auc_takes_a_huge_sigma():
     gt = GroundTruth(np.array([1, 0, 1, 0]), [mask, np.zeros_like(mask), mask, np.zeros_like(mask)])
     assert 0 <= pixel_auc(maps, gt, sigma_px=1e9).auc <= 1
     for grid in maps:
-        _check_critical(grid, mask, 1e9, 1)
+        _check_critical(grid, mask, 1e9)

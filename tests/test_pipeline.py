@@ -25,7 +25,6 @@ from videoanomaly import pipeline, synth
 from videoanomaly.pipeline import (
     FeatureStore,
     aggregate,
-    plan_windows,
     read_scores_csv,
     smooth,
     window_batch,
@@ -54,17 +53,22 @@ def _windows(starts, values, channel="motion"):
 # ----------------------------------------------------------------- planning
 
 
-def test_plan_windows_examples():
-    assert plan_windows(20, 10, 5) == [(0, 20)]
-    assert plan_windows(30, 10, 5) == [(0, 20), (5, 25), (10, 30)]
-    assert plan_windows(27, 10, 7) == [(0, 20), (7, 27)]
-    # a trailing remainder shorter than the stride adds no window
-    assert plan_windows(24, 10, 5) == [(0, 20)]
+def _plan(frame_count, w, stride):
+    """Oracle of the detector's windows: [start, start + 2w) at starts 0,
+    stride, 2 stride, ..., floor((T - 2w) / stride) + 1 of them."""
+    return [(j * stride, j * stride + 2 * w) for j in range((frame_count - 2 * w) // stride + 1)]
 
 
-def test_plan_windows_too_short():
-    with pytest.raises(StreamTooShortError):
-        plan_windows(19, 10, 5)
+@pytest.mark.parametrize("frame_count, stride, starts", [
+    (20, 5, [0]),
+    (30, 5, [0, 5, 10]),
+    (27, 7, [0, 7]),
+    (24, 5, [0]),  # a trailing remainder shorter than the stride adds no window
+])
+def test_run_detector_window_starts(frame_count, stride, starts):
+    config = DetectorConfig(w=10, stride=stride)
+    result = run_detector(frames=synth.noise_video(frame_count, seed=0), config=config)
+    assert result.windows.tolist() == starts
 
 
 def test_config_validation():
@@ -187,7 +191,7 @@ def test_store_drops_resized_frames_once_their_slots_are_cached():
             assert held == 0
         elif closes:
             assert held < STACK
-    assert closes == len(plan_windows(60, 10, 5))
+    assert closes == len(_plan(60, 10, 5))
 
 
 @pytest.mark.parametrize(
@@ -481,7 +485,7 @@ def test_run_detector_requires_input():
 
 
 def test_run_detector_short_stream():
-    with pytest.raises(StreamTooShortError):
+    with pytest.raises(StreamTooShortError, match="stream has 19 frames, needs at least 20"):
         run_detector(frames=synth.noise_video(19, seed=0))
 
 
@@ -620,7 +624,7 @@ def test_emissions_match_finalized_series(channel, w, stride, frame_count):
         assert tail and len(emissions) + len(tail) == frame_count
         seen.append(_bits(emissions + tail))
         assert seen[-1] == seen[0] == _bits(_final_emissions(result.series))
-        windows = len(plan_windows(frame_count, w, stride))
+        windows = len(_plan(frame_count, w, stride))
         assert np.array_equal(result.windows, np.arange(windows) * stride)
         assert (result.presence is None) == (channel == "appearance")
         lines = [json.loads(line) for line in trace.getvalue().splitlines()]
@@ -786,7 +790,7 @@ def test_window_batch_matches_per_bin_reference(stream):
     for f, a in zip(frames, acts):
         store.add(f, a)
     emptier_halves = set()
-    for window in plan_windows(store.frames_seen, config.w, config.stride):
+    for window in _plan(store.frames_seen, config.w, config.stride):
         for ch in config.enabled_channels:
             want = [
                 _window_batch_reference(window, b, ch, store) for b in range(config.n_bins(ch))
@@ -851,7 +855,7 @@ def test_window_batch_early_return_matches_counting_oracle(channel):
     for f, a in zip(frames, _mixed_activations(frame_count)):
         store.add(f, a)
     kinds = set()
-    for window in plan_windows(frame_count, config.w, config.stride):
+    for window in _plan(frame_count, config.w, config.stride):
         kept = [int(store.slot(s)[1].sum()) for s in range(*window, STACK)]
         kinds.add("static" if not any(kept) else "moving" if min(kept) == 192 else "partly")
         for ch in config.enabled_channels:
@@ -983,7 +987,7 @@ def test_store_gate_matches_one_shot_oracle(w, stride, channel):
     for t, act in enumerate(acts):
         det.push(Frame(t, WORK_W, WORK_H, pixels[t]), act)
     det.finalize()
-    windows = plan_windows(len(pixels), w, stride)
+    windows = _plan(len(pixels), w, stride)
     read = {s for start, end in windows for s in range(start, end, STACK)}
     assert det.checked == read
 
