@@ -236,8 +236,9 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
     channel only on cells with at least one surviving (non-static) cube in
     that window, elsewhere 0; for the appearance channel uniformly on the
     whole bin (bins are its finest granularity). Cell values then follow
-    the frame rule: mean over covering windows, nearest-neighbor backfill
-    for uncovered frames. channel 'fused' averages the enabled channels.
+    the frame rule (coverage_mean): mean over covering windows, the head
+    and tail frames backfilled from the first and last covered frame.
+    channel 'fused' averages the enabled channels.
     """
     enabled = result.series.channels
     if channel == "fused":

@@ -133,23 +133,6 @@ def _cells(volume: np.ndarray) -> np.ndarray:
     return volume.reshape(STACK, GRID_H, PATCH, GRID_W, PATCH).transpose(1, 3, 0, 2, 4)
 
 
-def _temporal_gradient(stack: np.ndarray) -> np.ndarray:
-    """``np.gradient(stack, axis=0)`` bit for bit, written by slicing.
-
-    One-sided differences at the first and last frame, central ones
-    (halved) in between, as np.gradient takes them at unit spacing.
-    """
-    f = np.asarray(stack)
-    if not np.issubdtype(f.dtype, np.inexact):
-        f = f.astype(np.float64)  # np.gradient's promotion of integer input
-    gt = np.empty_like(f)
-    np.subtract(f[1], f[0], out=gt[0])
-    np.subtract(f[2:], f[:-2], out=gt[1:-1])
-    gt[1:-1] /= 2.0
-    np.subtract(f[-1], f[-2], out=gt[-1])
-    return gt
-
-
 def _frames(stack) -> list[np.ndarray]:
     """The five (120, 160) frames of ``stack``, a (5, 120, 160) array or a
     sequence of five frames, in the inexact dtype np.stack and np.gradient
@@ -185,7 +168,7 @@ class SlotGate:
     buffers of its own, and writes each later difference to a third.
     After the fifth frame the central maximum is halved, then meets both
     one-sided differences: that is the per-pixel peak of
-    ``abs(_temporal_gradient(stack))`` over time bit for bit, because
+    ``abs(np.gradient(stack, axis=0))`` over time bit for bit, because
     halving is exact up to the rounding of a subnormal, monotone and
     sign-symmetric, and np.maximum is exact and propagates NaN in either
     order. clear() drops the frames, so the gate serves another slot.
@@ -233,14 +216,12 @@ def cube_rows(frames: list[np.ndarray], keep: np.ndarray) -> np.ndarray:
     given the slot's static mask ``keep``.
 
     An all-static mask returns before any stack is built. Otherwise the
-    temporal and spatial gradients are taken on the kept cells only.
+    gradients are taken on the kept cells' (n, 5, 10, 10) blocks only.
     """
     if not keep.any():
         return np.empty((0, CUBE_DIM), frames[0].dtype)
-    # time is axis 1 of the gathered (n, 5, 10, 10) blocks
     blocks = _cells(np.stack(frames))[keep]
-    gtb = _temporal_gradient(blocks.swapaxes(0, 1)).swapaxes(0, 1)
-    rows = _gradient_magnitude(blocks, gtb).reshape(-1, CUBE_DIM)
+    rows = _gradient_magnitude(blocks, np.gradient(blocks, axis=1)).reshape(-1, CUBE_DIM)
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     np.divide(rows, norms, out=rows, where=norms > 0)
     return rows

@@ -298,14 +298,12 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
 
     A window starting at ``start`` covers its second half
     [start + w, start + 2w). A covered frame takes the mean of the rows of
-    its covering windows, summed in window order; an uncovered frame takes
-    the value of the nearest covered frame in the range, the earlier one
-    on a tie. Returns a (hi - lo, len(row)) array.
-
-    The means are divided in place, and only the uncovered frames search
-    for their nearest covered frame: a fully covered range, which is every
-    range a window close emits, makes no search and no second array of
-    the output's size.
+    its covering windows, summed in window order and divided in place.
+    The covered frames of the range must be contiguous, as they are for
+    any stride <= w: the frames before them take the first covered
+    frame's value, and the frames after them the last one's. Returns a
+    (hi - lo, len(row)) array; ValueError if no frame of the range is
+    covered or the covered frames leave a gap.
     """
     rows = np.asarray(rows, dtype=np.float64)
     sums = np.zeros((hi - lo, *rows.shape[1:]))
@@ -315,18 +313,15 @@ def coverage_mean(starts, rows, w: int, lo: int, hi: int) -> np.ndarray:
         if a < b:
             sums[a:b] += row
             counts[a:b] += 1
-    gaps = np.flatnonzero(counts == 0)
-    if gaps.size == counts.size:
+    covered = np.flatnonzero(counts)
+    if not covered.size:
         raise ValueError("no frame is covered by any window")
+    first, last = covered[0], covered[-1]
+    if last - first + 1 != covered.size:
+        raise ValueError("the covered frames are not contiguous: windows need stride <= w")
     sums /= np.maximum(counts, 1)[:, None]
-    if gaps.size:
-        covered = np.flatnonzero(counts)
-        pos = np.searchsorted(covered, gaps)
-        left = covered[np.maximum(pos - 1, 0)]
-        right = covered[np.minimum(pos, covered.size - 1)]
-        # left < gap < right, or both name the one covered frame on the
-        # side that has one
-        sums[gaps] = sums[np.where(gaps - left <= right - gaps, left, right)]
+    sums[:first] = sums[first]
+    sums[last + 1 :] = sums[last]
     return sums
 
 
@@ -405,8 +400,10 @@ def aggregate(
     in ``starts``, to the per-frame series.
 
     Per (bin, channel): mean over the windows whose second half contains
-    the frame, frames with no covering window backfilled from the nearest
-    covered frame. Then max over bins, mean over channels, smoothing.
+    the frame (coverage_mean). In a run, that leaves the first w frames,
+    which take frame w's value, and the last frames (fewer than
+    ``stride``), which take the last covered frame's. Then max over bins,
+    mean over channels, smoothing.
     """
     per_bin, per_channel, fused = _frame_scores(starts, bin_scores, config, 0, frame_count)
     smoothed = smooth(fused, config.smooth_sigma)
@@ -552,8 +549,9 @@ class StreamingDetector:
         """Emit frames [emitted, horizon), all of whose windows have closed.
 
         Only the windows whose second halves reach the range are read, so
-        the cost does not grow with stream position. The range always holds
-        a frame of the last closed window's second half, to backfill from.
+        the cost does not grow with stream position. Every frame of the
+        range is covered, except frames 0..w-1 in the first range, which
+        take frame w's value.
         """
         cfg, closed, lo = self.config, self._next_window, self._emitted
         first = max(0, (lo - 2 * cfg.w) // cfg.stride + 1)  # first window reaching lo
@@ -682,7 +680,8 @@ def write_scores_csv(series: ScoreSeries, path) -> None:
 
 
 def read_scores_csv(path) -> dict[str, np.ndarray | None]:
-    """Read a score CSV back into column arrays (None for blank columns)."""
+    """Read a score CSV back into column arrays, None for a blank channel
+    column. No rows, or a blank fused or smoothed column, is a FormatError."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise FormatError(f"{path}: expected header {CSV_HEADER!r}")
@@ -701,20 +700,22 @@ def read_scores_csv(path) -> dict[str, np.ndarray | None]:
         frames = np.array([int(v) for v in cols["frame"]])
     except ValueError:
         raise FormatError(f"{path}: non-integer value in column frame") from None
-    if frames.size and not np.array_equal(frames, np.arange(frames.size)):
+    if not frames.size:
+        raise FormatError(f"{path}: no score rows after the header")
+    if not np.array_equal(frames, np.arange(frames.size)):
         raise FormatError(f"{path}: frame column must be 0..N-1 in order")
     out["frame"] = frames
     for name in names[1:]:
         vals = cols[name]
-        if all(v == "" for v in vals):
-            out[name] = None
-        else:
-            try:
-                values = np.array([float(v) for v in vals])
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric value in column {name}") from None
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}: non-finite value in column {name}")
-            out[name] = values
+        if name in ("score_motion", "score_appearance") and all(v == "" for v in vals):
+            out[name] = None  # a channel the run left out
+            continue
+        try:
+            values = np.array([float(v) for v in vals])
+        except ValueError:
+            raise FormatError(f"{path}: blank or non-numeric value in column {name}") from None
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: non-finite value in column {name}")
+        out[name] = values
     return out
 

@@ -526,6 +526,23 @@ def test_eval_non_integer_frame_exit_3(tmp_path, capsys):
     assert "FormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param("", id="header_only"),
+    pytest.param("0,0.1,,,0.1\n1,0.2,,,0.2\n", id="blank_fused"),
+    pytest.param("0,0.1,,0.1,\n1,0.2,,0.2,\n", id="blank_smoothed"),
+])
+def test_eval_score_csv_run_never_writes_exit_3(tmp_path, capsys, rows):
+    """run always writes rows and the fused and smoothed columns, so a CSV
+    without them is bad data, not a channel to enable."""
+    scores, labels = _two_frame_scores(tmp_path)
+    scores.write_text(CSV_HEADER + "\n" + rows)
+    rc = main(["eval", "--scores", str(scores), "--gt", str(labels),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "FormatError" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _npy_bytes(array):
     buf = io.BytesIO()
     np.save(buf, array)

@@ -1,19 +1,25 @@
-"""Every demo script, and README's Python API section, runs to completion
-against the package in src/; that section lists the package root's
-exports."""
+"""Every demo script, README's Python API section and every command of its
+"Command line" section run to completion against the package in src/;
+the API section lists the package root's exports."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import videoanomaly
+from videoanomaly import synth
+from videoanomaly.cli import main
+from videoanomaly.ingest import write_activations, write_frames_y8, write_pgm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -79,3 +85,50 @@ def test_readme_python_api_lists_the_root_exports():
     }
     # synth is a module, imported as one
     assert imported - listed == {"synth"}
+
+
+def _readme_commands():
+    """The commands of README's "Command line" sh block, continuation
+    lines joined, each as its argument list without the program name."""
+    text = (REPO_ROOT / "README.md").read_text()
+    start = text.index("\n## Command line\n")
+    block = re.search(r"^```sh\n(.*?)^```", text[start:], re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert all(command[0] == "videoanomaly" for command in commands)
+    return [command[1:] for command in commands]
+
+
+def _outputs(args):
+    """The files a run or eval command names as its outputs."""
+    named = [args[i + 1] for i, arg in enumerate(args) if arg in ("--out", "--maps-out")]
+    if args[0] == "run":
+        named.append(args[args.index("--out") + 1] + ".manifest.json")
+    if args[0] == "eval":
+        named.append(args[args.index("--out") + 1] + ".roc.csv")
+    return named
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Each README command exits 0 on a 30-frame event clip, given as a
+    PGM directory and as raw-y8 with UMK1 activations of the same length,
+    with its labels and masks, and writes the files it names."""
+    frames, labels, masks = synth.block_event_video(frame_count=30, active_range=(10, 20))
+    (tmp_path / "clip_dir").mkdir()
+    (tmp_path / "masks_dir").mkdir()
+    for f, mask in zip(frames, masks):
+        write_pgm(tmp_path / "clip_dir" / f"{f.index:03d}.pgm",
+                  np.rint(f.pixels * 255).astype(np.uint8))
+        write_pgm(tmp_path / "masks_dir" / f"{f.index:03d}.pgm", mask.astype(np.uint8) * 255)
+    write_frames_y8(frames, tmp_path / "clip.y8")
+    write_activations(synth.noise_activations(len(frames), seed=1), tmp_path / "clip.umk1")
+    (tmp_path / "labels.txt").write_text("".join(f"{v}\n" for v in labels))
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [args[0] for args in commands] == ["run", "run", "eval", "eval", "bench"]
+    for args in commands:
+        for name in _outputs(args):
+            (tmp_path / name).unlink(missing_ok=True)
+        assert main(args) == 0, (args, capsys.readouterr().err)
+        assert all((tmp_path / name).is_file() for name in _outputs(args)), args
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["command"] == "bench"

@@ -268,13 +268,13 @@ def test_aggregate_takes_max_over_bins():
     assert np.allclose(series.per_bin["motion"][10:, 0], 0.3)
 
 
-def test_aggregate_backfill_tie_prefers_earlier():
+def test_aggregate_interior_gap_raises():
+    """Windows 19 frames apart (a stride above w, which DetectorConfig
+    rejects) cover [10, 20) and [29, 39) and leave frames 20..28 between:
+    no frame there takes a neighbour's value."""
     config = DetectorConfig(bins=BinLayout(1, 1), smooth_sigma=0.0)
-    # second halves cover [10,20) and [29,39); frame 24 ties and goes left
-    series = aggregate(*_windows([0, 19], [0.2, 0.8]), 39, config)
-    motion = series.per_channel["motion"]
-    assert motion[24] == 0.2
-    assert motion[25] == 0.8
+    with pytest.raises(ValueError, match="not contiguous"):
+        aggregate(*_windows([0, 19], [0.2, 0.8]), 39, config)
 
 
 def test_aggregate_single_channel_fuses_to_itself():
@@ -345,11 +345,24 @@ def _coverage_cases(seed=24):
                     yield starts.tolist(), rows.tolist(), w, lo, hi
 
 
+def _has_gap(starts, w, lo, hi):
+    """Whether the covered frames of [lo, hi) leave an uncovered frame
+    between them."""
+    covered = sorted({f for s in starts for f in range(s + w, s + 2 * w) if lo <= f < hi})
+    return bool(covered) and covered[-1] - covered[0] + 1 != len(covered)
+
+
 def test_coverage_mean_matches_backfill_every_frame_oracle():
-    """Dividing in place and searching only the uncovered frames gives the
-    twin's bytes, and raises its error, on every case."""
-    matched = backfilled = raised = 0
+    """Where the covered frames are contiguous, backfilling only the head
+    and tail in place gives the twin's bytes, and raises its error, on
+    every case. A range whose covered frames leave a gap raises."""
+    matched = backfilled = raised = gapped = 0
     for starts, rows, w, lo, hi in _coverage_cases():
+        if _has_gap(starts, w, lo, hi):
+            with pytest.raises(ValueError, match="not contiguous"):
+                pipeline.coverage_mean(starts, rows, w, lo, hi)
+            gapped += 1
+            continue
         try:
             want = _coverage_mean_backfill_every_frame(starts, rows, w, lo, hi)
         except ValueError as err:
@@ -363,8 +376,9 @@ def test_coverage_mean_matches_backfill_every_frame_oracle():
         matched += 1
         covered = {f for s in starts for f in range(s + w, s + 2 * w)}
         backfilled += not covered.issuperset(range(lo, hi))
-    # the grid holds both outcomes, and many matches backfill some frame
-    assert matched > 1000 and backfilled > 500 and raised > 300, (matched, backfilled, raised)
+    # the grid holds every outcome, and most matches backfill some frame
+    counts = (matched, backfilled, raised, gapped)
+    assert matched > 600 and backfilled > 500 and raised > 300 and gapped > 300, counts
 
 
 def test_coverage_mean_raises_on_uncovered_and_empty_ranges():
@@ -1070,9 +1084,9 @@ def test_push_never_smooths(sigma, monkeypatch):
 
 def test_window_closes_search_only_uncovered_frames(monkeypatch):
     """Every range a window close emits is covered but for the first
-    one's frames 0..w-1, so 6,000 static pushes search once, for those w
-    frames, where a backfill of every frame searched at each of the 1,197
-    closes."""
+    one's frames 0..w-1, which copy frame w's row, so 6,000 static pushes
+    make no nearest-covered search, where a backfill of every frame
+    searched at each of the 1,197 closes."""
     real, searched = np.searchsorted, []
 
     def counting(a, v, *args, **kwargs):
@@ -1084,7 +1098,7 @@ def test_window_closes_search_only_uncovered_frames(monkeypatch):
     det = StreamingDetector(config)
     emitted = sum(len(det.push(frame)) for frame in _static_frames(6000))
     assert det._next_window == 1197 and emitted == 1197 * config.stride + config.w
-    assert searched == [config.w]
+    assert searched == []
 
 
 _REJECTIONS = {  # kind -> (the channels it applies to, bad input from good, error)
