@@ -9,7 +9,9 @@ Errors are reported as a single machine-parsable line on stderr.
 ``CONFIG_KEYS``, the one table that spells each as a flag and as a key of
 a flat key=value file (--config) and parses it from either. Flags
 override the file, the file overrides defaults, and inputs are validated
-before any parameter is parsed, so a data error is reported first.
+before any parameter is parsed, so a data error is reported first. The
+sha256 of each input, which the manifest and the bench report carry, is
+computed on a second thread while the detector runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import json
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -115,61 +118,119 @@ def _build_config(args, channel: str) -> DetectorConfig:
     return DetectorConfig(**values)
 
 
-def _hash_file(h, path: Path) -> None:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):  # 1 MiB at a time
-            h.update(chunk)
+_CHUNK = 1 << 18  # 256 KiB, read into one reused buffer
 
 
-def _digest(path: Path) -> str:
-    """sha256 of a file, or of a directory's files in name order."""
-    h = hashlib.sha256()
-    if path.is_dir():
-        for child in sorted(p for p in path.iterdir() if p.is_file()):
-            h.update(child.name.encode())
-            _hash_file(h, child)
-    else:
-        _hash_file(h, path)
-    return h.hexdigest()
+def _hash_file(h, fh, buf: bytearray, stop: threading.Event) -> None:
+    """Feed the rest of ``fh`` to ``h`` through ``buf``; ``stop`` ends it
+    between chunks."""
+    view = memoryview(buf)
+    while not stop.is_set() and (n := fh.readinto(buf)):
+        h.update(view[:n])
 
 
+class _InputHashes:
+    """The inputs' manifest entries, whose sha256 is computed on a second
+    thread while the detector runs.
+
+    ``add`` opens a file, or lists a directory, on the calling thread, so
+    an input that cannot be opened is still reported before any parameter
+    is parsed. A directory hashes its files in name order, name then
+    bytes. ``entries`` joins the thread, raises what it raised and returns
+    the entries with their sha256. Leaving the ``with`` block sets the
+    stop flag, which the thread checks between chunks, and joins it, so no
+    failure path returns with the thread alive.
+    """
+
+    def __init__(self):
+        self._entries = {}
+        self._sources = []  # per input: (entry, [(name, open file or path)])
+        self._files = contextlib.ExitStack()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._hash_all, name="videoanomaly-sha256")
+        self._error = None
+
+    def add(self, key: str, path: Path, **fields) -> None:
+        entry = self._entries[key] = {"path": str(path), **fields}
+        if path.is_dir():
+            files = [(p.name.encode(), p) for p in sorted(path.iterdir()) if p.is_file()]
+        else:
+            files = [(b"", self._files.enter_context(open(path, "rb")))]
+        self._sources.append((entry, files))
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def _hash_all(self) -> None:
+        buf = bytearray(_CHUNK)
+        try:
+            for entry, files in self._sources:
+                h = hashlib.sha256()
+                for name, source in files:
+                    h.update(name)
+                    with open(source, "rb") if isinstance(source, Path) else source as fh:
+                        _hash_file(h, fh, buf, self._stop)
+                entry["sha256"] = h.hexdigest()
+        except BaseException as exc:  # raised again on the caller's thread
+            self._error = exc
+
+    def entries(self) -> dict:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._entries
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        if self._thread.ident is not None:
+            self._thread.join()
+        self._files.close()
+
+
+@contextlib.contextmanager
 def _inputs_and_config(args):
     """What run and bench share: the --frames and/or --activations inputs,
     each validated whole (an activation tensor's shape too) and against
     the other's length, then the config, whose channel defaults to fusion
-    given both inputs, else to the one given."""
+    given both inputs, else to the one given. Yields the inputs, their
+    ``_InputHashes`` (hashing until ``entries()``) and the config."""
     if not args.frames and not args.activations:
         raise CapabilityError(f"{args.command} needs --frames and/or --activations")
     frames = activations = None
-    inputs = {}
-    if args.frames:
-        path = Path(args.frames)
-        fmt = args.frames_format
-        if fmt == "auto":
-            fmt = "raw-y8" if path.is_file() else "pgm-sequence"
-        frames = load_frames(path, fmt)
-        inputs["frames"] = {"path": str(path), "format": fmt, "sha256": _digest(path)}
-    if args.activations:
-        path = Path(args.activations)
-        activations = load_activations(path)
-        if activations:  # bin_activations would reject it only at the first push
-            try:
-                check_activation_shape(activations[0])
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from None
-        inputs["activations"] = {"path": str(path), "sha256": _digest(path)}
-    stream_length(frames, activations)
-    channel = ("fusion" if args.frames and args.activations
-               else "motion" if args.frames else "appearance")
-    return frames, activations, inputs, _build_config(args, channel)
+    with _InputHashes() as hashes:
+        if args.frames:
+            path = Path(args.frames)
+            fmt = args.frames_format
+            if fmt == "auto":
+                fmt = "raw-y8" if path.is_file() else "pgm-sequence"
+            frames = load_frames(path, fmt)
+            hashes.add("frames", path, format=fmt)
+        if args.activations:
+            path = Path(args.activations)
+            activations = load_activations(path)
+            if activations:  # bin_activations would reject it only at the first push
+                try:
+                    check_activation_shape(activations[0])
+                except ValueError as exc:
+                    raise DataError(f"{path}: {exc}") from None
+            hashes.add("activations", path)
+        hashes.start()
+        stream_length(frames, activations)
+        channel = ("fusion" if args.frames and args.activations
+                   else "motion" if args.frames else "appearance")
+        yield frames, activations, hashes, _build_config(args, channel)
 
 
 def cmd_run(args) -> int:
-    frames, activations, inputs, config = _inputs_and_config(args)
-    wall0 = time.perf_counter()
-    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
-        result = run_detector(frames, activations, config, trace)
-    wall = time.perf_counter() - wall0
+    with _inputs_and_config(args) as (frames, activations, hashes, config):
+        wall0 = time.perf_counter()
+        with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
+            result = run_detector(frames, activations, config, trace)
+        wall = time.perf_counter() - wall0
+        inputs = hashes.entries()
     write_scores_csv(result.series, args.out)
     if args.maps_out:
         write_maps_npz(result, args.maps_out)
@@ -237,12 +298,13 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    frames, activations, inputs, config = _inputs_and_config(args)
-    extraction, prediction = [], []
-    for _ in range(args.repeat):
-        result = run_detector(frames, activations, config)
-        extraction.append(result.extraction_fps)
-        prediction.append(result.prediction_fps)
+    with _inputs_and_config(args) as (frames, activations, hashes, config):
+        extraction, prediction = [], []
+        for _ in range(args.repeat):
+            result = run_detector(frames, activations, config)
+            extraction.append(result.extraction_fps)
+            prediction.append(result.prediction_fps)
+        inputs = hashes.entries()
     report = {
         "command": "bench",
         "version": __version__,

@@ -242,15 +242,6 @@ def read_pnm(path) -> np.ndarray:
     return np.frombuffer(data, np.uint8, width * height, offset).reshape(height, width)
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Write a uint8 (height, width) array as binary P5, maxval 255."""
-    gray = np.ascontiguousarray(gray, dtype=np.uint8)
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
-
-
 _TRAILING_INT = re.compile(r"(\d+)\D*$")
 
 
@@ -344,25 +335,6 @@ def _load_raw_y8(source: Path) -> Sequence[Frame]:
         return Frame._from_gray(idx, np.frombuffer(raw, dtype=np.uint8).reshape(h, w))
 
     return _Decoded(decode, range(count))
-
-
-def write_frames_y8(frames: Sequence[Frame], dest) -> None:
-    """Write frames as raw-y8 (body file plus ``.hdr`` sidecar).
-
-    Intensities are quantized with round(v * 255), so a load/write/load
-    round trip is bit-identical.
-    """
-    dest = Path(dest)
-    if not frames:
-        raise ValueError("cannot write an empty frame sequence")
-    w, h = frames[0].width, frames[0].height
-    with open(dest, "wb") as fh:
-        for frame in frames:
-            if (frame.width, frame.height) != (w, h):
-                raise ValueError("all frames must share one size")
-            byte = np.clip(np.rint(frame.pixels * 255.0), 0, 255).astype(np.uint8)
-            fh.write(byte.tobytes())
-    dest.with_name(dest.name + ".hdr").write_text(f"{w} {h} {len(frames)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +510,3 @@ def load_activations(source) -> Sequence[ActivationFrame]:
         return ActivationFrame(idx, channels, height, width, values)
 
     return _Decoded(decode, range(count))
-
-
-def write_activations(frames: Sequence[ActivationFrame], dest) -> None:
-    """Write activation frames as a UMK1 file."""
-    if not frames:
-        raise ValueError("cannot write an empty activation sequence")
-    c, h, w = frames[0].channels, frames[0].height, frames[0].width
-    header = _UMK1_MAGIC + np.array([len(frames), c, h, w], "<u4").tobytes()
-    with open(dest, "wb") as fh:
-        fh.write(header)
-        for frame in frames:
-            if (frame.channels, frame.height, frame.width) != (c, h, w):
-                raise ValueError("all activation frames must share one shape")
-            fh.write(np.ascontiguousarray(frame.values, "<f4").tobytes())

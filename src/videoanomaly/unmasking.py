@@ -404,6 +404,8 @@ def unmask(batch: WindowBatch, k: int = 10, m: int = 50, lam: float = 0.1) -> Un
         state, acc = train_logistic(batch, active, lam, _gram=gram_state)
         accuracies[i] = acc
         iterations[i], capped[i], route[i] = state.iterations, state.capped, state.route
+        if i + 1 == k:
+            break  # no loop reads the last elimination
         kept = eliminate_features(state, m)
         if gram_state is not None and kept.size >= gram_min:
             xw, gram = gram_state

@@ -31,8 +31,10 @@ from videoanomaly import (
     unmask,
 )
 from videoanomaly.cli import main
-from videoanomaly.ingest import ActivationFrame, load_masks, write_frames_y8
+from videoanomaly.ingest import ActivationFrame, load_masks
 from videoanomaly import synth
+
+from conftest import write_frames_y8
 
 
 def _planted_batch():

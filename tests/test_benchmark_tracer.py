@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from videoanomaly import DetectorConfig, Frame, StreamingDetector, cli, synth
-from videoanomaly.ingest import write_frames_y8
 from videoanomaly.features import STATIC_EPS
+
+from conftest import write_frames_y8
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 

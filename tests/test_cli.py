@@ -21,9 +21,10 @@ import videoanomaly
 from videoanomaly import ActivationFrame
 from videoanomaly import cli
 from videoanomaly.cli import main
-from videoanomaly.ingest import write_activations, write_frames_y8, write_pgm
 from videoanomaly.pipeline import CSV_HEADER, DetectorConfig, read_scores_csv
 from videoanomaly import synth
+
+from conftest import write_activations, write_frames_y8, write_pgm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -359,35 +360,122 @@ def test_run_input_shrunk_after_validation_exit_3(video, tmp_path, capsys, monke
     assert "TruncationError" in capsys.readouterr().err
 
 
-def test_run_manifest_sha256_of_every_input(tmp_path):
+def _hashed_inputs(tmp_path):
+    """(input flags, the sha256 of each input) of a raw-y8 clip with a UMK1
+    file, and of a PGM directory that holds a file that is not a frame.
+    A directory hashes every file in name order, name then bytes."""
     def sha(*chunks):
         return hashlib.sha256(b"".join(chunks)).hexdigest()
 
     clip, acts = tmp_path / "clip.y8", tmp_path / "clip.umk1"
     write_frames_y8(synth.noise_video(20, seed=3), clip)
     write_activations(synth.noise_activations(20, seed=3), acts)
-    out = tmp_path / "fusion.csv"
-    rc = main(["run", "--frames", str(clip), "--activations", str(acts), "--k", "1",
-               "--out", str(out)])
-    assert rc == 0
-    inputs = json.loads(Path(str(out) + ".manifest.json").read_text())["inputs"]
-    assert inputs["frames"]["sha256"] == sha(clip.read_bytes())
-    assert inputs["activations"]["sha256"] == sha(acts.read_bytes())
-
-    # a directory hashes every file in name order, name then bytes, the
-    # files that are not frames included
     frames = tmp_path / "frames"
     frames.mkdir()
     for f in synth.noise_video(20, seed=4):
         write_pgm(frames / f"{f.index:03d}.pgm", np.rint(f.pixels * 255).astype(np.uint8))
     (frames / "notes.txt").write_text("not a frame\n")
-    out = tmp_path / "pgm.csv"
-    rc = main(["run", "--frames", str(frames), "--k", "1", "--out", str(out)])
-    assert rc == 0
-    digest = json.loads(Path(str(out) + ".manifest.json").read_text())["inputs"]["frames"]
     files = sorted(frames.iterdir())
     assert files[-1].name == "notes.txt"
-    assert digest["sha256"] == sha(*(p.name.encode() + p.read_bytes() for p in files))
+    return [
+        (["--frames", str(clip), "--activations", str(acts)],
+         {"frames": sha(clip.read_bytes()), "activations": sha(acts.read_bytes())}),
+        (["--frames", str(frames)],
+         {"frames": sha(*(p.name.encode() + p.read_bytes() for p in files))}),
+    ]
+
+
+def test_run_manifest_sha256_of_every_input(tmp_path):
+    for i, (flags, want) in enumerate(_hashed_inputs(tmp_path)):
+        out = tmp_path / f"{i}.csv"
+        assert main(["run", *flags, "--k", "1", "--out", str(out)]) == 0
+        inputs = json.loads(Path(str(out) + ".manifest.json").read_text())["inputs"]
+        assert {key: entry["sha256"] for key, entry in inputs.items()} == want
+
+
+def test_bench_report_sha256_of_every_input(tmp_path, capsys):
+    for i, (flags, want) in enumerate(_hashed_inputs(tmp_path)):
+        out = tmp_path / f"{i}.json"
+        assert main(["bench", *flags, "--k", "1", "--repeat", "1", "--out", str(out)]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert {key: entry["sha256"] for key, entry in inputs.items()} == want
+
+
+# The inputs are hashed on a second thread while the detector runs; every
+# failure path stops and joins it (tests/conftest.py fails a test that
+# leaves a thread running).
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_hash_error_exit_3_and_no_output(video, tmp_path, capsys, monkeypatch, command):
+    def unreadable(h, fh, buf, stop):
+        raise OSError(5, "Input/output error", fh.name)
+
+    monkeypatch.setattr(cli, "_hash_file", unreadable)
+    out = tmp_path / "out"
+    rc = main([command, "--frames", str(video["frames"]), "--k", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"videoanomaly {command}: error: OSError: [Errno 5] Input/output error: "
+        f"'{video['frames']}'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["raw-y8", "umk1"])
+def test_unopenable_input_beats_malformed_parameter(video, tmp_path, capsys, monkeypatch, kind):
+    """Loading a raw-y8 clip reads only its header, and the UMK1 loader's
+    own open succeeds here; the file the hash opens is opened before any
+    parameter is parsed. (chmod cannot deny a read to root, so the
+    package's open is replaced.)"""
+    acts = tmp_path / "acts.umk1"
+    write_activations(synth.noise_activations(20, seed=1), acts)
+    denied = video["frames"] if kind == "raw-y8" else acts
+    flag = "--frames" if kind == "raw-y8" else "--activations"
+
+    def denying_open(file, *args, **kwargs):
+        if Path(file) == denied:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", denying_open, raising=False)
+    rc = main(["run", flag, str(denied), "--w", "abc", "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "PermissionError: [Errno 13] Permission denied" in err
+
+
+@pytest.mark.parametrize("case", ["bad-parameter", "input-shrunk"])
+def test_failed_run_stops_the_hash(video, tmp_path, capsys, monkeypatch, time_limit, case):
+    """A hash that would run for 5 s ends as soon as the run fails."""
+    stopped = []
+
+    def slow(h, fh, buf, stop):
+        stopped.append(stop.wait(5))
+
+    monkeypatch.setattr(cli, "_hash_file", slow)
+    clip = tmp_path / "video.y8"
+    clip.write_bytes(video["frames"].read_bytes())
+    clip.with_name("video.y8.hdr").write_text(
+        video["frames"].with_name("video.y8.hdr").read_text()
+    )
+    flags = ["--k", "0"]
+    if case == "input-shrunk":  # the detector fails at the last frames
+        validated = cli.load_frames
+
+        def load_then_shrink(*args):
+            frames = validated(*args)
+            clip.write_bytes(clip.read_bytes()[:-100])
+            return frames
+
+        monkeypatch.setattr(cli, "load_frames", load_then_shrink)
+        flags = []
+    with time_limit(2):
+        rc = main(["run", "--frames", str(clip), *flags, "--out", str(tmp_path / "s.csv")])
+    assert rc == (2 if case == "bad-parameter" else 3)
+    assert stopped == [True]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_run_invalid_parameter_exit_2(video, tmp_path, capsys):

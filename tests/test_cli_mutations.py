@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from videoanomaly import synth
-from videoanomaly.ingest import write_activations, write_frames_y8, write_pgm
 from videoanomaly.cli import main
+
+from conftest import write_activations, write_frames_y8, write_pgm
 
 SEED = int(os.environ.get("VIDEOANOMALY_MUTATION_SEED", "0"))
 CASES_PER_INPUT = 32

@@ -19,7 +19,8 @@ import pytest
 import videoanomaly
 from videoanomaly import synth
 from videoanomaly.cli import main
-from videoanomaly.ingest import write_activations, write_frames_y8, write_pgm
+
+from conftest import write_activations, write_frames_y8, write_pgm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))

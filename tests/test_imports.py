@@ -73,7 +73,8 @@ from pathlib import Path
 
 import videoanomaly
 from videoanomaly import cli, synth
-from videoanomaly.ingest import write_frames_y8, write_pgm
+
+from conftest import write_frames_y8, write_pgm
 
 root = Path(sys.argv[1])
 frames, labels, masks = synth.block_event_video(frame_count=120, active_range=(60, 90))
@@ -99,7 +100,10 @@ def test_scoring_and_evaluation_load_no_scipy(tmp_path):
     # importing scipy.special costs about 25 MB of resident memory and
     # scipy.ndimage about 16 MB; the package computes both in numpy
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    # the tests directory too, for the writers in conftest
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), str(Path(__file__).parent), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-c", _SCORE_WITHOUT_SCIPY, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,

@@ -27,10 +27,9 @@ from videoanomaly.ingest import (
     load_masks,
     read_pnm,
     resize_bilinear,
-    write_activations,
-    write_frames_y8,
-    write_pgm,
 )
+
+from conftest import write_activations, write_frames_y8, write_pgm
 
 
 def _frames(count, h=6, w=8, seed=0):

@@ -122,18 +122,20 @@ def _train_primal(batch, active, lam):
 
 def _unmask_primal(batch, k=10, m=50, lam=0.1):
     """Reference unmasking loop over the primal solver and sort-based
-    elimination; returns the profile and the active set after each loop."""
+    elimination; returns the profile and the active set after each loop
+    that another loop follows (the last loop eliminates nothing)."""
     active = np.arange(batch.dim, dtype=np.intp)
     accuracies, counts, kept = [], [], []
-    for _ in range(k):
+    for i in range(k):
         counts.append(int(active.size))
         if active.size == 0:
             accuracies.append(0.5)
             continue
         state, acc = _train_primal(batch, active, lam)
         accuracies.append(acc)
-        active = _eliminate_by_sort(state, m)
-        kept.append(active)
+        if i + 1 < k:
+            active = _eliminate_by_sort(state, m)
+            kept.append(active)
     return UnmaskingProfile(accuracies, counts), kept
 
 
