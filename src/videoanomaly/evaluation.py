@@ -433,15 +433,17 @@ def load_maps_npz(path, channel: str = "fused") -> np.ndarray:
     Maps of another shape or dtype than pixel_auc takes are a DataError.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise FormatError(f"{path}: not an npz archive")
-        with data:
-            if channel not in data:
-                raise CapabilityError(
-                    f"{path}: no {channel!r} maps present (has {sorted(data.keys())})"
-                )
-            grids = data[channel]
+        # a file np.load opens itself stays open if reading the zip fails
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise FormatError(f"{path}: not an npz archive")
+            with data:
+                if channel not in data:
+                    raise CapabilityError(
+                        f"{path}: no {channel!r} maps present (has {sorted(data.keys())})"
+                    )
+                grids = data[channel]
     # zipfile raises RuntimeError for an entry flagged as encrypted or with
     # an unknown compression method; TokenError is numpy's .npy header parser
     except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error,

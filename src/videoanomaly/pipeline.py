@@ -44,7 +44,6 @@ from .features import (
     BinLayout,
     SlotGate,
     bin_activations,
-    check_activation_shape,
     cube_rows,
 )
 from .ingest import ActivationFrame, Frame, resize_bilinear
@@ -55,6 +54,7 @@ CSV_HEADER = "frame,score_motion,score_appearance,score_fused,score_smoothed"
 # above the 6,272 loops the widest channel can train (D=12544 at m=2), after
 # which every loop scores chance; a larger k only asks unmask for k-long arrays
 MAX_K = 10_000
+_APP_BINS = np.arange(APP_LAYOUT.n_bins)  # the bin of each row of a frame's vectors
 
 
 @dataclass
@@ -132,9 +132,10 @@ class FeatureStore:
     gate's frames as soon as the fifth arrives. A resized frame lives
     only while an open gate holds it, so the store never holds more than
     5, and a cached slot stores no descriptor for a static cell.
-    Appearance vectors are cached per frame. evict_below() drops the
-    cached slots and vectors that start before the given frame, which
-    bounds memory to roughly one window span.
+    Appearance vectors are cached per frame. groups() gives either
+    channel's examples of a window as rows in groups, with their bins.
+    evict_below() drops the cached slots and vectors that start before
+    the given frame, which bounds memory to roughly one window span.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -178,13 +179,13 @@ class FeatureStore:
                 raise ValueError(
                     f"expected activation index {idx}, got {activation.index}"
                 )
-            check_activation_shape(activation)
+            vectors = bin_activations(activation)  # checks the tensor's shape
         if "motion" in channels:
             if (frame.width, frame.height) != (WORK_W, WORK_H):
                 frame = resize_bilinear(frame, WORK_W, WORK_H)
             self._fold(idx, frame.pixels)
         if "appearance" in channels:
-            self._app[idx] = bin_activations(activation)
+            self._app[idx] = vectors
         self.extract_seconds += time.perf_counter() - t0
         self.frames_seen += 1
         return idx
@@ -216,12 +217,17 @@ class FeatureStore:
         except KeyError:
             raise ValueError(f"slot {start} not available") from None
 
-    def appearance(self, frame: int) -> np.ndarray:
-        """(4, 12544) per-bin appearance vectors of one frame."""
-        try:
-            return self._app[frame]
-        except KeyError:
-            raise ValueError(f"appearance features for frame {frame} not available") from None
+    def groups(self, window: tuple[int, int], channel: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """A window's examples in frame order as (rows, bins) groups, row i
+        an example of bin ``bins[i]``: per slot tiling the window, its kept
+        cells' cube rows (slot()) for motion; per frame, its 4 bin vectors
+        for appearance. The first half of the groups is the window's first."""
+        if channel == "motion":
+            slots = map(self.slot, range(*window, STACK))
+            return [(rows, self.bin_grid[keep]) for rows, keep in slots]
+        if channel == "appearance":
+            return [(self._app[f], _APP_BINS) for f in range(*window)]
+        raise ValueError(f"unknown channel {channel!r}")
 
     def evict_below(self, frame: int) -> None:
         """Drop the cached slots and appearance vectors that start before
@@ -237,41 +243,32 @@ def window_batch(
 
     Returns {bin: WindowBatch} in ascending bin order, holding exactly the
     bins with at least MIN_PER_CLASS examples in each half; any other bin
-    is degenerate and scores CHANCE without a batch. Examples are labeled
-    by half, first half 0: a batch holds its first-half examples, then its
-    second-half ones. Motion examples are the surviving cubes of the
-    non-overlapping 5-frame slots tiling the window (aligned to its
-    start), slot by slot in row-major cell order, labeled by the half the
-    slot starts in. Appearance examples are the per-frame bin vectors, so
-    every bin trains exactly when w >= MIN_PER_CLASS.
+    is degenerate and scores CHANCE without a batch. A bin's examples are
+    its rows of the window's groups (FeatureStore.groups), group by group,
+    labeled by the half the group starts in, first half 0. So every
+    appearance bin trains exactly when w >= MIN_PER_CLASS.
 
-    A motion window whose slots kept no cell returns {} early, without
-    counting examples: every bin of a static window is degenerate.
+    A window whose groups hold no row (a motion window whose slots kept
+    no cell) returns {} early, without counting examples.
     """
-    start, end = window
-    w = (end - start) // 2
-    n_bins = store.config.n_bins(channel)
-    if channel == "motion":
-        slots = [store.slot(s) for s in range(start, end, STACK)]
-        if not any(len(rows) for rows, _ in slots):
-            return {}
-        cell_bins = [store.bin_grid[keep] for _, keep in slots]  # bin of each row
-        half = w // STACK
-        counts = [  # examples per bin in each half
-            np.bincount(np.concatenate(part), minlength=n_bins)
-            for part in (cell_bins[:half], cell_bins[half:])
-        ]
-    elif channel == "appearance":
-        vectors = [store.appearance(f) for f in range(start, end)]
-        counts = [np.full(n_bins, w)] * 2
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
+    groups = store.groups(window, channel)
+    if not any(len(rows) for rows, _ in groups):
+        return {}
+    half = len(groups) // 2
+    counts = [  # examples per bin in each half
+        np.bincount(np.concatenate([bins for _, bins in part]),
+                    minlength=store.config.n_bins(channel))
+        for part in (groups[:half], groups[half:])
+    ]
     batches = {}
     for b in np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS).tolist():
-        if channel == "motion":
-            x = np.concatenate([rows[cells == b] for (rows, _), cells in zip(slots, cell_bins)])
-        else:
-            x = np.stack([v[b] for v in vectors])
+        x = np.empty((counts[0][b] + counts[1][b], groups[0][0].shape[1]))
+        i = 0
+        for rows, bins in groups:
+            picked = (bins == b).nonzero()[0]
+            # clip: an out= take with the default mode="raise" fills a temporary first
+            rows.take(picked, axis=0, out=x[i : i + len(picked)], mode="clip")
+            i += len(picked)
         y = np.repeat(np.arange(2, dtype=np.uint8), (counts[0][b], counts[1][b]))
         batches[b] = WindowBatch(x, y)
     return batches

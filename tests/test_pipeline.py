@@ -680,7 +680,7 @@ def _window_batch_reference(window, bin, channel, store):
             y = np.empty(0, np.uint8)
         return WindowBatch(x, y)
     if channel == "appearance":
-        x = np.stack([store.appearance(f)[bin] for f in range(start, end)])
+        x = np.stack([store._app[f][bin] for f in range(start, end)])
         y = (np.arange(start, end) - start >= w).astype(np.uint8)
         return WindowBatch(x, y)
     raise ValueError(f"unknown channel {channel!r}")
@@ -839,7 +839,7 @@ def _window_batch_counting(window, channel, store):
             for part in (cell_bins[:half], cell_bins[half:])
         ]
     else:
-        vectors = [store.appearance(f) for f in range(start, end)]
+        vectors = [store._app[f] for f in range(start, end)]
         counts = [np.full(n_bins, w)] * 2
     batches = {}
     for b in np.flatnonzero(np.minimum(*counts) >= MIN_PER_CLASS).tolist():
