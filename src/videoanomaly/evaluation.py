@@ -31,6 +31,12 @@ product could underflow or overflow) is smoothed exactly over the ranked
 pixels' bounding box, and sigma 0 ranks the upsampled grid. So every
 score, and every report, is bit-identical to ranking smooth_map's
 output, and the package needs numpy alone.
+
+Memory: the closed form is computed one row block of at most
+_BLUR_BLOCK values at a time, so a frame holds one row block, plus a
+positive frame's masked values (8 B a pixel), never a frame-sized float
+map. The smoothing denominator is cached as its distinct rows: those
+within the kernel radius of a border, and one for the interior.
 """
 
 from __future__ import annotations
@@ -192,9 +198,12 @@ def _axis(length: int, cells: int, sigma_px: float) -> _Axis:
     cell = _pixel_cells(length, cells)
     weight = np.zeros((length, cells))
     for c in np.unique(cell):
-        offsets = np.flatnonzero(cell == c)[None, :] - np.arange(length)[:, None]
-        near = np.abs(offsets) <= radius
-        weight[:, c] = np.where(near, taps[np.clip(offsets, -radius, radius) + radius], 0.0).sum(axis=1)
+        own = np.flatnonzero(cell == c)
+        # only the pixels within the radius of the cell's own take its taps
+        near = np.arange(max(own[0] - radius, 0), min(own[-1] + radius + 1, length))
+        offsets = own[None, :] - near[:, None]
+        inside = np.abs(offsets) <= radius
+        weight[near, c] = np.where(inside, taps[np.clip(offsets, -radius, radius) + radius], 0.0).sum(axis=1)
     axis = _Axis(taps, cell, weight, _blur(np.ones((1, length)), taps)[0])
     for array in axis:  # shared by every caller through the cache
         array.setflags(write=False)
@@ -202,13 +211,21 @@ def _axis(length: int, cells: int, sigma_px: float) -> _Axis:
 
 
 @functools.lru_cache(maxsize=8)
-def _smoothing_den(shape: tuple[int, int], sigma_px: float) -> np.ndarray:
-    """smooth_map's renormalization: the smoothed all-ones image, read-only."""
+def _smoothing_den(shape: tuple[int, int], sigma_px: float) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_map's renormalization, the smoothed all-ones image, as
+    (rows, index), both read-only: image row i is rows[index[i]].
+
+    Row i is its vertical pass's value at i, repeated and smoothed
+    horizontally, so equal values give equal rows: the distinct rows are
+    those within the radius of a border, and one for the interior.
+    """
     h, w = shape
-    col = _blur(np.ones((1, h)), gaussian_taps(sigma_px, h))
-    den = _blur(np.repeat(col.T, w, axis=1), gaussian_taps(sigma_px, w))
-    den.setflags(write=False)
-    return den
+    col = _blur(np.ones((1, h)), gaussian_taps(sigma_px, h))[0]
+    _, first, index = np.unique(col.view(np.uint64), return_index=True, return_inverse=True)
+    rows = _blur(np.repeat(col[first, None], w, axis=1), gaussian_taps(sigma_px, w))
+    for array in (rows, index):
+        array.setflags(write=False)
+    return rows, index
 
 
 def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
@@ -226,7 +243,9 @@ def smooth_map(pixels: np.ndarray, sigma_px: float) -> np.ndarray:
     h, w = pixels.shape
     cols = _blur(pixels.astype(np.float64).T, gaussian_taps(sigma_px, h)).T
     num = _blur(cols, gaussian_taps(sigma_px, w))
-    return num / _smoothing_den(pixels.shape, float(sigma_px))
+    rows, index = _smoothing_den(pixels.shape, float(sigma_px))
+    num /= rows[index]
+    return num
 
 
 def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarray:
@@ -263,12 +282,14 @@ def cube_score_map(result: DetectionResult, channel: str = "fused") -> np.ndarra
 def _kth_largest(values: np.ndarray, k: int):
     """k-th largest value, np.partition's pick: NaN ranks above everything.
     A top other than zero is max(); a zero top may tie -0.0 with +0.0,
-    where max() and np.partition can pick different signs."""
+    where max() and np.partition can pick different signs. ``values`` is
+    partitioned in place."""
     if k == 1:
         top = values.max()
         if top != 0:
             return top
-    return np.partition(values, values.size - k)[values.size - k]
+    values.partition(values.size - k)
+    return values[values.size - k]
 
 
 # relative bound of the closed form: see _certified_critical
@@ -291,28 +312,33 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float) -> float:
     equal ends (a score of zero) are its exact value. Otherwise the pixels
     whose interval meets the bracket are smoothed exactly, on their rows
     only, and the rank finishes among them after the pixels certainly
-    above. Any other grid is smoothed exactly over the ranked pixels'
-    bounding box: one with a negative, -0.0 or non-finite cell, or a cell
-    so small or large that a product could underflow or overflow. Sigma 0
-    ranks the upsampled grid.
+    above. A is computed one block of at most _BLUR_BLOCK values at a
+    time, twice: the first pass keeps each block's largest ranked A and a
+    positive frame's ranked A, the second revisits the blocks that reach
+    the bracket. Any other grid is smoothed exactly over the ranked
+    pixels' bounding box: one with a negative, -0.0 or non-finite cell, or
+    a cell so small or large that a product could underflow or overflow.
+    Sigma 0 ranks the upsampled grid.
     """
     h, w = mask.shape
     grid = np.asarray(grid, dtype=np.float64)
     if not grid.view(np.uint64).any():  # every cell +0.0, so every pixel
         return 0.0
     # the ranked pixels and their rank: a positive frame's masked pixels, as
-    # flat indices into their bounding box (pick), or a negative frame's map
+    # a mask of their bounding box (inbox), or a negative frame's map
     if mask.any():
         rs, cs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         rows, cols = slice(rs[0], rs[-1] + 1), slice(cs[0], cs[-1] + 1)
-        pick = np.flatnonzero(mask[rows, cols])
-        k = (2 * pick.size) // 5 + 1
+        inbox = mask[rows, cols].astype(bool, copy=False)
+        n = int(np.count_nonzero(inbox))
+        k = (2 * n) // 5 + 1
     else:
-        rows, cols, pick, k = slice(0, h), slice(0, w), None, 1
+        rows, cols, inbox, k = slice(0, h), slice(0, w), None, 1
 
-    def ranked(box: np.ndarray) -> np.ndarray:
-        """The ranked pixels of a map's [rows, cols] box, in row-major order."""
-        return box.ravel() if pick is None else box.ravel()[pick]
+    def ranked(box: np.ndarray, r0: int = 0) -> np.ndarray:
+        """The ranked pixels of a map's [rows, cols] box, or of the box's
+        rows from r0 on, in row-major order."""
+        return box.ravel() if inbox is None else box[inbox[r0 : r0 + len(box)]]
 
     if sigma_px == 0:
         return float(_kth_largest(ranked(grid_to_pixels(grid, h, w)[rows, cols]), k))
@@ -326,25 +352,52 @@ def _certified_critical(grid, mask: np.ndarray, sigma_px: float) -> float:
         return float(_kth_largest(ranked(box), k))
     radius = max(ay.taps.size, ax.taps.size) // 2
     rel = max(_REL_BOUND, 16 * (radius + 8) * np.finfo(np.float64).eps)
-    den = _smoothing_den((h, w), sigma_px)[rows, cols]
+    den, den_index = _smoothing_den((h, w), sigma_px)
+    across, down = ay.weight[rows] @ grid, ax.weight[cols].T
+    step = max(1, _BLUR_BLOCK // down.shape[1])
+    starts = range(0, len(across), step)
 
-    # the closed form A at the ranked pixels
-    a = ranked((ay.weight[rows] @ grid) @ ax.weight[cols].T / den)
-    delta = rel * a
-    lo, hi = a - delta, np.add(a, delta, out=delta)
+    def closed_form(r0: int) -> np.ndarray:
+        """A over the box's rows [r0, r0 + step)."""
+        a = across[r0 : r0 + step] @ down
+        a /= den[den_index[rows.start + r0 : rows.start + r0 + len(a)], cols]
+        return a
+
     # delta = rel * A is monotone in A: one rank brackets the score
-    t = _kth_largest(a, k)
+    tops, values, filled = [], None if inbox is None else np.empty(n), 0
+    for r0 in starts:
+        a = ranked(closed_form(r0), r0)
+        tops.append(a.max(initial=-np.inf))
+        if values is not None:
+            values[filled : filled + a.size] = a
+            filled += a.size
+    t = max(tops) if values is None else _kth_largest(values, k)
+    del a, values  # the second pass holds one block at a time
     t_lo, t_hi = t - rel * t, t + rel * t
     if t_lo == t_hi:
         return float(t_lo)
-    above = lo > t_hi
-    at = np.flatnonzero(~(above | (hi < t_lo)))
-    ri, ci = np.divmod(at if pick is None else pick[at], den.shape[1])
-    ri, ci = ri + rows.start, ci + cols.start  # row-major order: ri is sorted
+
+    def bracketed(r0: int):
+        """How many of the block's ranked pixels lie certainly above the
+        bracket, and the rows and columns of those whose interval meets it."""
+        a = closed_form(r0)
+        delta = rel * a
+        lo, hi = a - delta, np.add(a, delta, out=delta)
+        up = lo > t_hi
+        meet = ~(up | (hi < t_lo))
+        if inbox is not None:
+            up &= inbox[r0 : r0 + len(a)]
+            meet &= inbox[r0 : r0 + len(a)]
+        r, c = np.nonzero(meet)
+        return np.count_nonzero(up), r + rows.start + r0, c + cols.start
+
+    # hi grows with A: a block whose top's hi is below the bracket has no pixel in or above it
+    above, ri, ci = zip(*(bracketed(r0) for r0, top in zip(starts, tops) if top + rel * top >= t_lo))
+    ri, ci = np.concatenate(ri), np.concatenate(ci)  # row-major order: ri is sorted
     first = np.r_[True, ri[1:] != ri[:-1]]
     block = _exact_block(grid, ri[first], ci.min(), ci.max() + 1, ay, ax, sigma_px)
     exact = block[np.cumsum(first) - 1, ci - ci.min()]
-    return float(_kth_largest(exact, k - int(np.count_nonzero(above))))
+    return float(_kth_largest(exact, k - sum(above)))
 
 
 def _exact_block(grid: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis, ax: _Axis,
@@ -369,8 +422,8 @@ def _exact_block(grid: np.ndarray, rows: np.ndarray, c0: int, c1: int, ay: _Axis
     # outputs in [c0, c1) read inputs in [lo, hi) only, and _blur's zero
     # padding falls where the image ends
     num = _blur(vertical[src][:, ax.cell[lo:hi]], ax.taps)[:, c0 - lo : c1 - lo]
-    den = _smoothing_den((ay.cell.size, ax.cell.size), sigma_px)[src, c0:c1]
-    return (num / den)[copies.ravel()]
+    den, den_index = _smoothing_den((ay.cell.size, ax.cell.size), sigma_px)
+    return (num / den[den_index[src], c0:c1])[copies.ravel()]
 
 
 def pixel_auc(
@@ -419,11 +472,12 @@ def write_maps_npz(result: DetectionResult, path) -> None:
     """Save per-frame score grids, one (T,12,16) array per channel + 'fused'.
 
     'fused' is the mean of the channel maps, the same arithmetic as
-    cube_score_map(result, "fused"), so each map is computed once.
+    cube_score_map(result, "fused"), so each map is computed once. One
+    channel's mean is its map (x / 1 is x), written under both names.
     """
     arrays = {ch: cube_score_map(result, ch) for ch in result.series.channels}
     first, *rest = arrays.values()
-    arrays["fused"] = channel_mean([first.copy(), *rest])
+    arrays["fused"] = channel_mean([first.copy(), *rest]) if rest else first
     np.savez_compressed(path, **arrays)
 
 

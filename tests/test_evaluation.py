@@ -23,7 +23,7 @@ from videoanomaly import (
 )
 from videoanomaly import evaluation, synth
 from videoanomaly.evaluation import grid_to_pixels, load_maps_npz, smooth_map, write_maps_npz
-from videoanomaly.pipeline import aggregate
+from videoanomaly.pipeline import aggregate, gaussian_taps
 
 
 # ---------------------------------------------------------------- frame AUC
@@ -216,17 +216,53 @@ def test_smooth_map_rejects_negative_and_non_finite_sigma(sigma):
 
 
 def test_smooth_map_denominator_cache_is_bounded_and_read_only():
-    """One full-size denominator per (shape, sigma) is cached, at most 8
-    of them, so new mask shapes do not grow the process."""
+    """One denominator per (shape, sigma) is cached, at most 8 of them, as
+    its distinct rows and the row of each image row, so new mask shapes do
+    not grow the process: a 360x640 one at sigma 10 keeps 31 rows, not 360."""
     evaluation._smoothing_den.cache_clear()
     for i in range(20):
         smooth_map(np.zeros((10 + i, 12)), 2.0)
     info = evaluation._smoothing_den.cache_info()
     assert info.misses == 20
     assert info.currsize <= 8
-    den = evaluation._smoothing_den((29, 12), 2.0)
+    rows, index = evaluation._smoothing_den((29, 12), 2.0)
     assert evaluation._smoothing_den.cache_info().hits == 1
-    assert not den.flags.writeable
+    assert not rows.flags.writeable and not index.flags.writeable
+    assert rows.shape == (7, 12) and index.shape == (29,)  # radius 6
+    rows, index = evaluation._smoothing_den((360, 640), 10.0)
+    assert rows.shape == (31, 640) and index.shape == (360,)
+
+
+def _dense_axis_weight(length, cells, sigma):
+    """Oracle for _axis's weight: every cell's taps into every pixel."""
+    taps = gaussian_taps(sigma, length)
+    radius = taps.size // 2
+    cell = (np.arange(length) * cells) // length
+    weight = np.zeros((length, cells))
+    for c in np.unique(cell):
+        offsets = np.flatnonzero(cell == c)[None, :] - np.arange(length)[:, None]
+        near = np.abs(offsets) <= radius
+        weight[:, c] = np.where(near, taps[np.clip(offsets, -radius, radius) + radius], 0.0).sum(axis=1)
+    return weight
+
+
+# radii of 30 and 120 reach past 20 and 12 rows; sigma 0.3 has radius 1
+@pytest.mark.parametrize("shape,sigma", [((360, 640), 10.0), ((90, 130), 2.5), ((20, 200), 10.0),
+                                         ((12, 16), 40.0), ((90, 130), 0.3), ((1, 1), 10.0)])
+def test_smoothing_den_rows_and_axis_weights_match_whole_builds(shape, sigma):
+    """The distinct-row denominator gives the whole _blur denominator bit
+    for bit, and the radius-limited _axis weights the dense ones."""
+    h, w = shape
+    col = evaluation._blur(np.ones((1, h)), gaussian_taps(sigma, h))
+    whole = evaluation._blur(np.repeat(col.T, w, axis=1), gaussian_taps(sigma, w))
+    evaluation._smoothing_den.cache_clear()
+    rows, index = evaluation._smoothing_den(shape, sigma)
+    assert _same_bits(rows[index], whole)
+    assert len(rows) == len(np.unique(col))
+    for length, cells in ((h, 12), (w, 16)):
+        evaluation._axis.cache_clear()
+        weight = evaluation._axis(length, cells, sigma).weight
+        assert _same_bits(weight, _dense_axis_weight(length, cells, sigma))
 
 
 # ------------------------------------------------------------ score maps
@@ -519,9 +555,35 @@ def test_pixel_auc_end_to_end_localizes_synthetic_event():
     assert pixel.auc >= 0.8
 
 
+@pytest.mark.parametrize("shape", [(360, 640), (720, 1280)])
+def test_pixel_auc_memory_is_flat_in_mask_area(shape):
+    """pixel_auc works in row blocks: a negative frame with a nonzero grid
+    holds no frame-sized float64 array, and a positive frame 8 B per masked
+    pixel beyond its blocks. Warm traced peaks; the whole closed form and
+    its bracket held 5.9 and 22.9 MB on the negative frame."""
+    h, w = shape
+    grid, zero = np.random.default_rng(0).random((12, 16)), np.zeros((12, 16))
+    none, small, wide = (np.zeros(shape, dtype=bool) for _ in range(3))
+    small[:4, :4] = True
+    wide[h // 10 : h - h // 10, w // 10 : w - w // 10] = True
+    # the other frame has a zero grid, whose score needs no smoothing
+    for masks, bound in (([none, small], 1.5 * 2**20), ([wide, none], 1.5 * 2**20 + 8 * wide.sum())):
+        gt = GroundTruth(np.array([m.any() for m in masks], dtype=np.uint8), masks)
+        maps = np.stack([grid, zero])
+        pixel_auc(maps, gt)  # fills the axis and denominator caches
+        tracemalloc.start()
+        try:
+            pixel_auc(maps, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (masks[0].any(), peak / 2**20)
+
+
 # ------------------------------------------------- certified critical scores
 
-GRID_CLASSES = ("noise", "signed", "sparse", "plateau", "quadrant", "zero", "negzero", "nonfinite")
+GRID_CLASSES = ("noise", "signed", "sparse", "plateau", "quadrant", "zero", "negzero", "nonfinite",
+                "columns")
 
 
 def _grid_of(kind, rng):
@@ -548,6 +610,8 @@ def _grid_of(kind, rng):
             r, c = rng.integers(0, 10), rng.integers(0, 14)
             grid[r : r + 3, c : c + 3] = rng.random()
         return grid
+    if kind == "columns":  # equal rows: each column's interior pixels tie across row blocks
+        return np.tile(rng.random(16), (12, 1))
     grid = rng.random((12, 16))  # nonfinite
     grid.flat[rng.choice(192, 2, replace=False)] = rng.choice([np.inf, -np.inf, np.nan], 2)
     return grid
@@ -559,6 +623,28 @@ def _rect_mask(shape, rng):
     r, c = rng.integers(0, h - 1), rng.integers(0, w - 1)
     mask[r : r + rng.integers(1, h // 2 + 1), c : c + rng.integers(1, w // 2 + 1)] = True
     return mask
+
+
+def _block_masks(shape):
+    """A band, two boxes with unmasked rows between them, and scattered
+    pixels: at 360x640 each bounding box spans at least three of
+    _certified_critical's row blocks, and the band's and the pair's end
+    inside one."""
+    h, w = shape
+    band = np.zeros(shape, dtype=bool)
+    band[h // 9 : h - h // 7, w // 11 : w - w // 13] = True
+    pair = np.zeros(shape, dtype=bool)
+    pair[h // 9 : h // 9 + 3, w // 5 : w // 3] = True
+    pair[h - h // 7 - 4 : h - h // 7, w // 2 : w - w // 13] = True
+    return [band, pair, np.random.default_rng(h).random(shape) < 0.002]
+
+
+def _row_blocks(mask):
+    """The row blocks _certified_critical splits a mask's bounding box into,
+    and whether the last one is partial."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    step = evaluation._BLUR_BLOCK // (cols[-1] + 1 - cols[0])
+    return -(-(rows[-1] + 1 - rows[0]) // step), (rows[-1] + 1 - rows[0]) % step != 0
 
 
 def _same_value(a, b):
@@ -595,13 +681,21 @@ def _check_critical(grid, mask, sigma):
 @pytest.mark.parametrize("shape", [(360, 640), (240, 320), (90, 130)])
 def test_certified_critical_matches_smoothed_map(shape, kind):
     """pixel_auc's critical score from the certified closed form equals
-    smooth_map + _critical_score, the map it does not compute."""
+    smooth_map + _critical_score, the map it does not compute: on random
+    boxes, on the whole map, and on boxes of several row blocks (ties
+    across their edges come from the plateau, quadrant and columns grids)."""
     rng = np.random.default_rng([shape[0], GRID_CLASSES.index(kind)])
+    block_rng = np.random.default_rng([shape[0], GRID_CLASSES.index(kind), 1])
     for sigma in (0.0, 2.5, 10.0):
         for masked in (True, False):
             for _ in range(4):
                 mask = _rect_mask(shape, rng) if masked else np.zeros(shape, dtype=bool)
                 _check_critical(_grid_of(kind, rng), mask, sigma)
+        for mask in _block_masks(shape):
+            _check_critical(_grid_of(kind, block_rng), mask, sigma)
+    if shape == (360, 640):
+        spans = [_row_blocks(mask) for mask in _block_masks(shape)]
+        assert min(n for n, _ in spans) >= 3 and spans[0][1] and spans[1][1], spans
 
 
 def test_certified_critical_on_extreme_cells_and_radii():
